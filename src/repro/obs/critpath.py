@@ -9,7 +9,7 @@ gaps in between (barrier/straggler waits) — then walks the cross-rank
 dependency DAG backwards to extract the critical path that determines the
 step's wall-clock.
 
-Three design decisions worth knowing:
+Four design decisions worth knowing:
 
 * **integer nanoseconds** — all attribution is quantized to whole
   nanoseconds (``round(t · 1e9)``).  Each rank's window is a contiguous
@@ -18,6 +18,15 @@ Three design decisions worth knowing:
   integer arithmetic, per rank and per window — not merely to float
   tolerance.  Quantization only affects this report's bookkeeping; the
   simulator's float clocks are never touched.
+* **columns, not objects** — every event and span time is converted to
+  nanoseconds once, and each rank's busy atoms are sorted once and
+  clipped against the running maximum of their ends into one disjoint
+  *busy tiling* for the whole run.  A window is a slice of that tiling
+  (only its two edge segments can be clipped); stalls are the gaps
+  between busy segments.  Attribution sums integers over category codes,
+  and :class:`Segment` objects are built only for the critical path and
+  for :attr:`Window.timelines`.  The cost is O(N log N) in the number of
+  events, independent of the number of windows.
 * **the DAG is implicit** — bulk-synchronous semantics mean a collective's
   start time is the barrier time of its participants, and a p2p receive
   depends on its sender at the recorded send time.  The backward walk
@@ -25,7 +34,8 @@ Three design decisions worth knowing:
   the participant whose preceding busy segment ends latest (the rank that
   held everyone up, ties broken toward the lowest rank for determinism);
   at a p2p it jumps to the sender; otherwise it steps to the previous
-  non-stall segment on the same rank.
+  busy segment on the same rank.  Each hop is a bisection into a rank's
+  busy ends.
 * **predicted vs measured** — every op on the path is re-priced with a
   *solo* :class:`~repro.comm.cost.GroupCommModel` (built without sibling
   groups, so NIC crowding is excluded) and compute with the device's
@@ -41,13 +51,20 @@ cannot change numerics, clocks or byte counters (tested in
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.runtime.events import to_ns
 
 CRITPATH_SCHEMA = "repro-critpath-v1"
 
 #: attribution categories; every nanosecond lands in exactly one
 CATEGORIES = ("compute", "comm", "stall", "overhead")
+_CATEGORY_CODE = {c: i for i, c in enumerate(CATEGORIES)}
+_STALL = _CATEGORY_CODE["stall"]
 
 #: trace-event kinds priced by the α–β collective model
 COLLECTIVE_KINDS = (
@@ -58,13 +75,26 @@ COLLECTIVE_KINDS = (
 #: trace-event kinds produced by the resilience subsystem
 OVERHEAD_KINDS = ("fault", "checkpoint", "recovery")
 
+#: category code of every event kind that occupies a timeline; other kinds
+#: (serving ``"request"`` lifecycle spans, …) are not attributed
+_KIND_CATEGORY = {
+    "compute": _CATEGORY_CODE["compute"],
+    "p2p": _CATEGORY_CODE["comm"],
+    **{k: _CATEGORY_CODE["comm"] for k in COLLECTIVE_KINDS},
+    **{k: _CATEGORY_CODE["overhead"] for k in OVERHEAD_KINDS},
+}
 
-def _ns(t: float) -> int:
-    return int(round(t * 1e9))
+
+def _ns_array(ts: Sequence[float]) -> np.ndarray:
+    """:func:`~repro.runtime.events.to_ns` over many times at once.
+
+    ``np.rint`` rounds half to even on the same double ``t · 1e9`` that
+    Python's ``round`` sees, so the two agree bit for bit.
+    """
+    return np.rint(np.asarray(ts, dtype=np.float64) * 1e9).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One contiguous slice of one rank's timeline, in integer ns."""
 
     rank: int
@@ -92,9 +122,6 @@ class Attribution:
     stall_ns: int = 0
     overhead_ns: int = 0
 
-    def add(self, category: str, ns: int) -> None:
-        setattr(self, category + "_ns", getattr(self, category + "_ns") + ns)
-
     @property
     def total_ns(self) -> int:
         return self.compute_ns + self.comm_ns + self.stall_ns + self.overhead_ns
@@ -109,54 +136,69 @@ class Attribution:
         }
 
 
-@dataclass
-class Window:
-    """One analysis window (a training step, or the whole run)."""
-
-    label: str
-    start_ns: int
-    end_ns: int
-    timelines: Dict[int, List[Segment]] = field(default_factory=dict)
-
-    @property
-    def wall_ns(self) -> int:
-        return self.end_ns - self.start_ns
-
-
 # ----------------------------------------------------------------------
 # span containment (layer / op labels for segments)
 # ----------------------------------------------------------------------
-class _SpanIndex:
-    """Per-rank sorted span lists for midpoint-containment lookups."""
+def _previous_at_least(values: List[int]) -> List[int]:
+    """For each position, the nearest earlier position holding a value at
+    least as large, or -1 (one monotonic-stack pass)."""
+    out: List[int] = []
+    stack: List[int] = []
+    for i, v in enumerate(values):
+        while stack and values[stack[-1]] < v:
+            stack.pop()
+        out.append(stack[-1] if stack else -1)
+        stack.append(i)
+    return out
 
-    def __init__(self, spans, category: str):
-        self._by_rank: Dict[int, Tuple[List[int], List] ] = {}
+
+class _SpanIndex:
+    """Innermost-containing-span lookups over one span category, per rank.
+
+    A rank's spans are sorted by ``(start, -end)``, ties in recording
+    order.  A point's span is the last one in that order that starts at
+    or before the point and ends at or after it.  A lookup bisects to the
+    last span starting at or before the point, then follows ``parent`` —
+    the nearest earlier span ending no earlier — while the candidate ends
+    before the point: every span it skips ends earlier still.  Labels are
+    interned; code 0 is ``""`` (no enclosing span).
+    """
+
+    def __init__(self, spans, category: str, label_of):
         per_rank: Dict[int, List] = {}
         for s in spans:
             if s.category == category:
                 per_rank.setdefault(s.rank, []).append(s)
+        codes = {"": 0}
+        self._by_rank: Dict[int, Tuple[np.ndarray, ...]] = {}
         for rank, lst in per_rank.items():
-            lst.sort(key=lambda s: (_ns(s.t_start), -_ns(s.t_end)))
-            self._by_rank[rank] = ([_ns(s.t_start) for s in lst], lst)
+            starts = _ns_array([s.t_start for s in lst])
+            ends = _ns_array([s.t_end for s in lst])
+            order = np.lexsort((-ends, starts))  # stable
+            starts, ends = starts[order], ends[order]
+            labels = [codes.setdefault(label_of(lst[i]), len(codes)) for i in order.tolist()]
+            # a sentinel at position n (reached through index -1) contains
+            # every point and carries no label
+            self._by_rank[rank] = (
+                starts,
+                np.append(ends, np.iinfo(np.int64).max),
+                np.array(_previous_at_least(ends.tolist()) + [-1], dtype=np.int64),
+                np.array(labels + [0], dtype=np.int64),
+            )
+        self.names: List[str] = list(codes)
 
-    def enclosing(self, rank: int, start_ns: int, end_ns: int):
-        """The innermost span on ``rank`` containing the segment midpoint.
-
-        Midpoint containment suffices: busy segments never straddle a span
-        boundary of their own rank (collectives and kernels execute inside
-        the span that issued them).
-        """
+    def lookup(self, rank: int, points: np.ndarray) -> np.ndarray:
+        """Label codes of the innermost spans on ``rank`` containing ``points``."""
         entry = self._by_rank.get(rank)
         if entry is None:
-            return None
-        starts, spans = entry
-        mid = (start_ns + end_ns) // 2
-        i = bisect.bisect_right(starts, mid) - 1
-        while i >= 0:
-            if _ns(spans[i].t_end) >= mid:
-                return spans[i]
-            i -= 1
-        return None
+            return np.zeros(len(points), dtype=np.int64)
+        starts, ends, parent, code = entry
+        i = np.searchsorted(starts, points, side="right") - 1
+        miss = ends[i] < points
+        while miss.any():
+            i[miss] = parent[i[miss]]
+            miss = ends[i] < points
+        return code[i]
 
 
 def _layer_name(span) -> str:
@@ -170,14 +212,136 @@ def _layer_name(span) -> str:
 # ----------------------------------------------------------------------
 # timeline construction
 # ----------------------------------------------------------------------
-def _event_category(kind: str) -> Optional[str]:
-    if kind == "compute":
-        return "compute"
-    if kind in COLLECTIVE_KINDS or kind == "p2p":
-        return "comm"
-    if kind in OVERHEAD_KINDS:
-        return "overhead"
-    return None
+class _Lane(NamedTuple):
+    """One rank's busy segments inside one window, as parallel columns."""
+
+    start: np.ndarray  # int64 ns, clipped to the window
+    end: np.ndarray  # int64 ns, clipped to the window
+    event: np.ndarray  # index into tracer.events
+    cat: np.ndarray  # category code (index into CATEGORIES)
+    kind: np.ndarray  # event-kind code (index into _Run.kind_names)
+    layer: np.ndarray  # layer label code (index into layer_index.names)
+    op: np.ndarray  # op label code (index into op_index.names)
+
+
+class _Run:
+    """A traced run as per-rank integer-ns columns, built once.
+
+    ``tiles[r]`` is rank ``r``'s busy tiling of the whole run: its busy
+    atoms — one per event per rank the event occupies — sorted by
+    ``(start, end, event index)`` and clipped against the running maximum
+    of the ends, so the segments are disjoint, positive and in order, and
+    both their starts and their ends increase strictly.  A p2p receive
+    that arrives while the receiver is still busy keeps only its
+    uncovered tail; a fully shadowed atom disappears.
+    """
+
+    def __init__(self, sim):
+        tracer = sim.tracer
+        self.events = events = tracer.events
+        self.num_ranks = sim.num_ranks
+        kinds, _ranks, t_start, t_end = (list(zip(*events)) or [()] * 4)[:4]
+        self.start_ns = _ns_array(t_start)
+        self.end_ns = _ns_array(t_end)
+        kind_codes: Dict[str, int] = {}
+        ev_kind = np.array(
+            [kind_codes.setdefault(k, len(kind_codes)) for k in kinds], dtype=np.int64
+        )
+        self.kind_names: List[str] = list(kind_codes)
+        ev_cat = np.array(
+            [_KIND_CATEGORY.get(k, -1) for k in self.kind_names], dtype=np.int8
+        )[ev_kind]
+        kept = np.flatnonzero((ev_cat >= 0) & (self.end_ns > self.start_ns))
+        targets = [events[i].occupied_ranks for i in kept.tolist()]
+        atom_event = np.repeat(kept, [len(t) for t in targets]).astype(np.int64)
+        atom_rank = np.fromiter(
+            chain.from_iterable(targets), dtype=np.int64, count=len(atom_event)
+        )
+        a, b = self.start_ns[atom_event], self.end_ns[atom_event]
+        order = np.lexsort((atom_event, b, a, atom_rank))
+        bounds = np.searchsorted(atom_rank[order], np.arange(self.num_ranks + 1))
+        self.tiles: List[Tuple[np.ndarray, ...]] = []
+        for r in range(self.num_ranks):
+            sel = order[bounds[r]:bounds[r + 1]]
+            ra, rb, rev = a[sel], b[sel], atom_event[sel]
+            reach = np.empty_like(rb)  # the latest end before each atom
+            reach[:1] = ra[:1]
+            np.maximum.accumulate(rb[:-1], out=reach[1:])
+            busy = rb > reach
+            ev = rev[busy]
+            self.tiles.append(
+                (np.maximum(ra, reach)[busy], rb[busy], ev, ev_cat[ev], ev_kind[ev])
+            )
+        self.layer_index = _SpanIndex(tracer.spans, "layer", _layer_name)
+        self.op_index = _SpanIndex(tracer.spans, "op", lambda s: s.name)
+
+    def lane(self, rank: int, start_ns: int, end_ns: int) -> _Lane:
+        """Rank ``rank``'s busy tiling restricted to ``[start_ns, end_ns]``."""
+        start, end, event, cat, kind = self.tiles[rank]
+        lo = int(np.searchsorted(end, start_ns, side="right"))
+        hi = int(np.searchsorted(start, end_ns, side="left"))
+        if end_ns <= start_ns:
+            hi = lo
+        start, end = start[lo:hi], end[lo:hi]
+        if hi > lo and (start[0] < start_ns or end[-1] > end_ns):
+            start, end = np.maximum(start, start_ns), np.minimum(end, end_ns)
+        mid = (start + end) // 2
+        return _Lane(
+            start, end, event[lo:hi], cat[lo:hi], kind[lo:hi],
+            self.layer_index.lookup(rank, mid), self.op_index.lookup(rank, mid),
+        )
+
+
+class Window:
+    """One analysis window (a training step, or the whole run).
+
+    ``lanes[r]`` holds rank ``r``'s busy segments inside the window as
+    columns; :attr:`timelines` materializes them, with a stall segment in
+    every gap, as :class:`Segment` lists on first access.
+    """
+
+    def __init__(self, label: str, start_ns: int, end_ns: int, run: _Run):
+        self.label = label
+        self.start_ns = start_ns
+        self.end_ns = end_ns
+        self.run = run
+        self.lanes = [run.lane(r, start_ns, end_ns) for r in range(run.num_ranks)]
+        self._timelines: Optional[Dict[int, List[Segment]]] = None
+
+    @property
+    def wall_ns(self) -> int:
+        return self.end_ns - self.start_ns
+
+    def segment(self, rank: int, k: int) -> Segment:
+        """The ``k``-th busy segment of ``rank`` in this window."""
+        lane, run = self.lanes[rank], self.run
+        ei = int(lane.event[k])
+        e = run.events[ei]
+        return Segment(
+            rank=rank, start_ns=int(lane.start[k]), end_ns=int(lane.end[k]),
+            category=CATEGORIES[lane.cat[k]], kind=e.kind, label=e.label,
+            op=run.op_index.names[lane.op[k]],
+            layer=run.layer_index.names[lane.layer[k]],
+            nbytes=e.nbytes, event_index=ei,
+        )
+
+    @property
+    def timelines(self) -> Dict[int, List[Segment]]:
+        """Per rank, the contiguous segments tiling ``[start_ns, end_ns]``."""
+        if self._timelines is None:
+            self._timelines = {}
+            for r, lane in enumerate(self.lanes):
+                segs: List[Segment] = []
+                cursor = self.start_ns
+                for k, (a, b) in enumerate(zip(lane.start.tolist(), lane.end.tolist())):
+                    if a > cursor:
+                        segs.append(Segment(r, cursor, a, "stall"))
+                    segs.append(self.segment(r, k))
+                    cursor = b
+                if cursor < self.end_ns:
+                    segs.append(Segment(r, cursor, self.end_ns, "stall"))
+                self._timelines[r] = segs
+        return self._timelines
 
 
 def build_windows(sim) -> List[Window]:
@@ -191,86 +355,50 @@ def build_windows(sim) -> List[Window]:
     its uncovered tail), stall segments filling every gap.
     """
     tracer = sim.tracer
-    step_spans = [s for s in tracer.spans if s.category == "step"]
-    windows: List[Window] = []
-    if step_spans:
-        by_sid: Dict[int, List] = {}
-        for s in step_spans:
+    run = _Run(sim)
+    by_sid: Dict[int, List] = {}
+    for s in tracer.spans:
+        if s.category == "step":
             by_sid.setdefault(s.sid, []).append(s)
-        for sid in sorted(by_sid):
-            group = by_sid[sid]
-            step_no = (group[0].attrs or {}).get("step", len(windows))
-            windows.append(Window(
-                label=f"step{step_no}",
-                start_ns=min(_ns(s.t_start) for s in group),
-                end_ns=max(_ns(s.t_end) for s in group),
-            ))
-    else:
-        windows.append(Window(label="run", start_ns=0, end_ns=_ns(sim.elapsed())))
-
-    layer_index = _SpanIndex(tracer.spans, "layer")
-    op_index = _SpanIndex(tracer.spans, "op")
-
-    # busy atoms: (rank, start_ns, end_ns, category, event, event_index)
-    atoms: Dict[int, List[Tuple[int, int, str, object, int]]] = {
-        r: [] for r in range(sim.num_ranks)
-    }
-    for idx, e in enumerate(tracer.events):
-        category = _event_category(e.kind)
-        if category is None:
-            continue
-        a, b = _ns(e.t_start), _ns(e.t_end)
-        if b <= a:
-            continue
-        if e.kind == "compute":
-            targets: Sequence[int] = (e.ranks[0],)
-        elif e.kind == "p2p":
-            targets = (e.ranks[1],)  # the sender's copy engine does not stall
-        else:
-            targets = e.ranks
-        for r in targets:
-            atoms[r].append((a, b, category, e, idx))
-
-    for w in windows:
-        for r in range(sim.num_ranks):
-            segs: List[Segment] = []
-            cursor = w.start_ns
-            for a, b, category, e, idx in sorted(
-                atoms[r], key=lambda t: (t[0], t[1])
-            ):
-                if b <= w.start_ns or a >= w.end_ns:
-                    continue
-                a, b = max(a, w.start_ns), min(b, w.end_ns)
-                if b <= cursor:
-                    continue  # fully shadowed by earlier activity
-                a = max(a, cursor)
-                if a > cursor:
-                    segs.append(Segment(r, cursor, a, "stall"))
-                layer = layer_index.enclosing(r, a, b)
-                op = op_index.enclosing(r, a, b)
-                segs.append(Segment(
-                    rank=r, start_ns=a, end_ns=b, category=category,
-                    kind=e.kind, label=e.label,
-                    op=op.name if op is not None else "",
-                    layer=_layer_name(layer) if layer is not None else "",
-                    nbytes=e.nbytes, event_index=idx,
-                ))
-                cursor = b
-            if cursor < w.end_ns:
-                segs.append(Segment(r, cursor, w.end_ns, "stall"))
-            w.timelines[r] = segs
+    windows: List[Window] = []
+    for sid in sorted(by_sid):
+        group = by_sid[sid]
+        step_no = (group[0].attrs or {}).get("step", len(windows))
+        windows.append(Window(
+            f"step{step_no}",
+            min(to_ns(s.t_start) for s in group),
+            max(to_ns(s.t_end) for s in group),
+            run,
+        ))
+    if not windows:
+        windows.append(Window("run", 0, to_ns(sim.elapsed()), run))
     return windows
 
 
 def attribute_window(w: Window) -> Dict[int, Attribution]:
     """Per-rank category totals; each rank's total equals the window exactly."""
     out: Dict[int, Attribution] = {}
-    for rank, segs in sorted(w.timelines.items()):
-        att = Attribution()
-        for s in segs:
-            att.add(s.category, s.duration_ns)
-        out[rank] = att
+    for rank, lane in enumerate(w.lanes):
+        dur = lane.end - lane.start
+        totals = [int(dur[lane.cat == c].sum()) for c in range(len(CATEGORIES))]
+        totals[_STALL] = w.wall_ns - sum(totals)
+        out[rank] = Attribution(*totals)
     return out
+
+
+def _group_totals(w: Window, column: str, names: List[str]) -> Dict[str, Attribution]:
+    """Busy time of the window per label code of one lane column, by category."""
+    n = len(CATEGORIES)
+    codes = np.concatenate([getattr(lane, column) for lane in w.lanes])
+    cats = np.concatenate([lane.cat for lane in w.lanes])
+    durs = np.concatenate([lane.end - lane.start for lane in w.lanes])
+    sums = np.zeros(len(names) * n, dtype=np.int64)
+    np.add.at(sums, codes * n + cats, durs)
+    return {
+        name: Attribution(*row)
+        for name, row in sorted(zip(names, sums.reshape(-1, n).tolist()))
+        if name and any(row)
+    }
 
 
 # ----------------------------------------------------------------------
@@ -284,78 +412,66 @@ def critical_path(w: Window, events) -> List[Segment]:
     participant that arrived last at the barrier; at a p2p receive it jumps
     to the sender; otherwise it continues on the same rank.
     """
-    # locate each event's segment per rank, and each segment's list index
-    seg_at: Dict[Tuple[int, int], int] = {}  # (event_index, rank) -> seg idx
-    for rank, segs in w.timelines.items():
-        for i, s in enumerate(segs):
-            if s.event_index >= 0:
-                seg_at[(s.event_index, rank)] = i
+    cols: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
 
-    def prev_busy(rank: int, idx: int) -> Optional[int]:
-        """Index of the nearest non-stall segment strictly before ``idx``."""
-        segs = w.timelines[rank]
-        i = idx - 1
-        while i >= 0:
-            if segs[i].category != "stall":
-                return i
-            i -= 1
-        return None
+    def lane(rank: int) -> Tuple[List[int], List[int], List[int]]:
+        """(starts, ends, event indices) of ``rank``'s busy segments."""
+        c = cols.get(rank)
+        if c is None:
+            ln = w.lanes[rank]
+            c = cols[rank] = (ln.start.tolist(), ln.end.tolist(), ln.event.tolist())
+        return c
 
     # start on the rank whose last busy segment ends latest (the rank that
     # sets the window's end); ties toward the lowest rank for determinism
-    start_rank, start_idx, best_end = -1, None, -1
-    for rank in sorted(w.timelines):
-        segs = w.timelines[rank]
-        i = len(segs) - 1
-        while i >= 0 and segs[i].category == "stall":
-            i -= 1
-        if i >= 0 and segs[i].end_ns > best_end:
-            start_rank, start_idx, best_end = rank, i, segs[i].end_ns
-    if start_idx is None:
+    start_rank, best_end = -1, -1
+    for rank, ln in enumerate(w.lanes):
+        if len(ln.end) and ln.end[-1] > best_end:
+            start_rank, best_end = rank, int(ln.end[-1])
+    if start_rank < 0:
         return []
 
-    path: List[Segment] = []
-    rank, idx = start_rank, start_idx
-    while idx is not None:
-        seg = w.timelines[rank][idx]
-        path.append(seg)
-        if seg.start_ns <= w.start_ns:
+    event_start, event_end = w.run.start_ns, w.run.end_ns
+    hops: List[Tuple[int, int]] = []
+    rank, k = start_rank, len(w.lanes[start_rank].end) - 1
+    while True:
+        starts, ends, evs = lane(rank)
+        hops.append((rank, k))
+        if starts[k] <= w.start_ns:
             break
         nxt: Optional[Tuple[int, int]] = None
-        e = events[seg.event_index] if seg.event_index >= 0 else None
-        if e is not None and seg.kind in COLLECTIVE_KINDS:
-            # the collective started when its last participant arrived
-            blocker, blocker_idx, blocker_end = None, None, -1
+        ei = evs[k]
+        e = events[ei]
+        if e.kind in COLLECTIVE_KINDS:
+            # the collective started when its last participant arrived; its
+            # segment on a participant is the one ending where the event does
+            target = min(int(event_end[ei]), w.end_ns)
+            blocker, blocker_k, blocker_end = None, None, -1
             for p in sorted(e.ranks):
-                at = seg_at.get((seg.event_index, p))
-                if at is None:
+                _, p_ends, p_evs = lane(p)
+                at = bisect.bisect_left(p_ends, target)
+                if at == len(p_ends) or p_ends[at] != target or p_evs[at] != ei:
                     continue
-                pb = prev_busy(p, at)
-                end = w.timelines[p][pb].end_ns if pb is not None else w.start_ns
+                end = p_ends[at - 1] if at else w.start_ns
                 if end > blocker_end:
-                    blocker, blocker_idx, blocker_end = p, pb, end
-            if blocker is not None and blocker_idx is not None:
-                nxt = (blocker, blocker_idx)
-        elif e is not None and seg.kind == "p2p":
+                    blocker, blocker_k, blocker_end = p, (at - 1 if at else None), end
+            if blocker_k is not None:
+                nxt = (blocker, blocker_k)
+        elif e.kind == "p2p":
+            # the sender's last busy segment ending by the send time
             src = e.ranks[0]
-            send_ns = _ns(e.t_start)
-            segs = w.timelines.get(src, [])
-            i = len(segs) - 1
-            while i >= 0 and (segs[i].category == "stall" or segs[i].end_ns > send_ns):
-                i -= 1
+            i = bisect.bisect_right(lane(src)[1], int(event_start[ei])) - 1
             if i >= 0:
                 nxt = (src, i)
         if nxt is None:
-            pb = prev_busy(rank, idx)
-            nxt = (rank, pb) if pb is not None else None
+            nxt = (rank, k - 1) if k else None
         if nxt is None:
             break
         # every hop lands on a segment ending at or before the current
         # segment's start (BSP barriers and p2p send times guarantee it),
         # so the walk makes strict backward progress and terminates
-        rank, idx = nxt
-    path.reverse()
-    return path
+        rank, k = nxt
+    return [w.segment(r, i) for r, i in reversed(hops)]
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +559,7 @@ def rank_bottlenecks(
                 # prediction prices the whole event; the segment may be a
                 # clipped tail, so scale by the covered fraction
                 e = events[seg.event_index]
-                full = _ns(e.t_end) - _ns(e.t_start)
+                full = to_ns(e.t_end) - to_ns(e.t_start)
                 frac = seg.duration_ns / full if full > 0 else 0.0
                 row["predicted_ns"] += int(round(pred * 1e9 * frac))
     rows = sorted(agg.values(), key=lambda r: (-r["measured_ns"], r["key"]))
@@ -457,16 +573,6 @@ def rank_bottlenecks(
 # ----------------------------------------------------------------------
 # the report
 # ----------------------------------------------------------------------
-def _aggregate_by(segs: List[Segment], key_fn) -> Dict[str, Attribution]:
-    out: Dict[str, Attribution] = {}
-    for s in segs:
-        key = key_fn(s)
-        if not key:
-            continue
-        out.setdefault(key, Attribution()).add(s.category, s.duration_ns)
-    return out
-
-
 def critpath_report(sim, max_path_segments: int = 512) -> dict:
     """The full deterministic analysis document for a traced simulator run.
 
@@ -485,29 +591,28 @@ def critpath_report(sim, max_path_segments: int = 512) -> dict:
     auditor = CostAuditor(sim)
     windows = build_windows(sim)
     win_docs = []
-    run_total = Attribution()
-    path_total = Attribution()
+    run_total = [0] * len(CATEGORIES)
+    path_total = [0] * len(CATEGORIES)
     for w in windows:
         per_rank = attribute_window(w)
         conservation_ok = all(
             att.total_ns == w.wall_ns for att in per_rank.values()
         )
         path = critical_path(w, events)
-        path_att = Attribution()
+        on_path = [0] * len(CATEGORIES)
         for s in path:
-            path_att.add(s.category, s.duration_ns)
+            on_path[_CATEGORY_CODE[s.category]] += s.duration_ns
         # the walk's hops are contiguous except for sub-ns rounding and
         # explicit sender idle gaps; fold the remainder into stall so the
         # path attribution conserves the window exactly too
-        slack = w.wall_ns - path_att.total_ns
-        path_att.stall_ns += slack
+        on_path[_STALL] += w.wall_ns - sum(on_path)
+        path_att = Attribution(*on_path)
         bottlenecks = rank_bottlenecks(path, events, auditor)
-        all_segs = [s for segs in w.timelines.values() for s in segs]
         for att in per_rank.values():
-            for c in CATEGORIES:
-                run_total.add(c, getattr(att, c + "_ns"))
-        for c in CATEGORIES:
-            path_total.add(c, getattr(path_att, c + "_ns"))
+            for i, c in enumerate(CATEGORIES):
+                run_total[i] += getattr(att, c + "_ns")
+        for i, v in enumerate(on_path):
+            path_total[i] += v
         seg_docs = [
             {
                 "rank": s.rank, "start_ns": s.start_ns, "end_ns": s.end_ns,
@@ -516,6 +621,8 @@ def critpath_report(sim, max_path_segments: int = 512) -> dict:
             }
             for s in path[:max_path_segments]
         ]
+        by_layer = _group_totals(w, "layer", w.run.layer_index.names)
+        by_kind = _group_totals(w, "kind", w.run.kind_names)
         win_docs.append({
             "label": w.label,
             "start_ns": w.start_ns,
@@ -525,14 +632,8 @@ def critpath_report(sim, max_path_segments: int = 512) -> dict:
             "per_rank": [
                 {"rank": r, **att.as_dict()} for r, att in sorted(per_rank.items())
             ],
-            "by_layer": {
-                k: v.as_dict()
-                for k, v in sorted(_aggregate_by(all_segs, lambda s: s.layer).items())
-            },
-            "by_kind": {
-                k: v.as_dict()
-                for k, v in sorted(_aggregate_by(all_segs, lambda s: s.kind).items())
-            },
+            "by_layer": {k: v.as_dict() for k, v in by_layer.items()},
+            "by_kind": {k: v.as_dict() for k, v in by_kind.items()},
             "critical_path": {
                 "num_segments": len(path),
                 "path_truncated": len(path) > max_path_segments,
@@ -545,24 +646,23 @@ def critpath_report(sim, max_path_segments: int = 512) -> dict:
         "schema": CRITPATH_SCHEMA,
         "num_ranks": sim.num_ranks,
         "num_windows": len(windows),
-        "wall_clock_ns": _ns(sim.elapsed()),
+        "wall_clock_ns": to_ns(sim.elapsed()),
         "windows": win_docs,
         "totals": {
-            "per_rank_sum": run_total.as_dict(),
-            "critical_path": path_total.as_dict(),
+            "per_rank_sum": Attribution(*run_total).as_dict(),
+            "critical_path": Attribution(*path_total).as_dict(),
         },
     }
 
 
-def attribution_summary(sim) -> dict:
+def summary_from_report(doc: dict) -> dict:
     """The compact per-run summary stored in ledger records.
 
-    A strict subset of :func:`critpath_report`: run-level category totals,
-    the critical path's split, and the top measured bottlenecks — small
-    enough to commit per ledger line, rich enough for the dashboard's
-    Attribution section.
+    A strict subset of a :func:`critpath_report` document: run-level
+    category totals, the critical path's split, and the top measured
+    bottlenecks — small enough to commit per ledger line, rich enough for
+    the dashboard's Attribution section.
     """
-    doc = critpath_report(sim, max_path_segments=0)
     bottlenecks: Dict[str, dict] = {}
     for w in doc["windows"]:
         for row in w["bottlenecks"]:
@@ -591,23 +691,28 @@ def attribution_summary(sim) -> dict:
     }
 
 
+def attribution_summary(sim) -> dict:
+    """:func:`summary_from_report` of a fresh analysis of ``sim``."""
+    return summary_from_report(critpath_report(sim, max_path_segments=0))
+
+
 # ----------------------------------------------------------------------
 # cost-model calibration (measured / predicted feedback)
 # ----------------------------------------------------------------------
 CALIB_SCHEMA = "repro-calib-v1"
 
 
-def calibration_suggestion(sim, experiment: str, scheme: str) -> dict:
-    """A canonical-JSON α–β adjustment suggestion from one traced run.
+def calibration_from_report(doc: dict, experiment: str, scheme: str) -> dict:
+    """A canonical-JSON α–β adjustment suggestion from one analyzed run.
 
-    Aggregates the critical-path bottleneck rows by event *kind* and turns
-    the measured/predicted ratios into two scalar scale suggestions — one
-    for communication kinds, one for compute — weighted by measured time.
-    Deliberately advisory: nothing here rewrites the cost model (a single
-    run cannot separate α from β; that needs a multi-size regression), it
-    just localizes and quantifies the disagreement so a human can act.
+    Aggregates the critical-path bottleneck rows of a :func:`critpath_report`
+    document by event *kind* and turns the measured/predicted ratios into
+    two scalar scale suggestions — one for communication kinds, one for
+    compute — weighted by measured time.  Deliberately advisory: nothing
+    here rewrites the cost model (a single run cannot separate α from β;
+    that needs a multi-size regression), it just localizes and quantifies
+    the disagreement so a human can act.
     """
-    doc = critpath_report(sim, max_path_segments=0)
     by_kind: Dict[str, dict] = {}
     for w in doc["windows"]:
         for row in w["bottlenecks"]:
@@ -650,6 +755,13 @@ def calibration_suggestion(sim, experiment: str, scheme: str) -> dict:
             ),
         },
     }
+
+
+def calibration_suggestion(sim, experiment: str, scheme: str) -> dict:
+    """:func:`calibration_from_report` of a fresh analysis of ``sim``."""
+    return calibration_from_report(
+        critpath_report(sim, max_path_segments=0), experiment, scheme
+    )
 
 
 def render_calibration(doc: dict) -> str:
@@ -760,7 +872,7 @@ def main(
 
     sim = run_profile(experiment, scheme=scheme)
     doc = critpath_report(sim)
-    calib = calibration_suggestion(sim, experiment, scheme) if calibrate else None
+    calib = calibration_from_report(doc, experiment, scheme) if calibrate else None
     if as_json:
         printer(canonical_json(calib) if calibrate else canonical_json(doc))
     else:
@@ -774,6 +886,7 @@ def main(
         rec = record_from_sim(
             "experiment", sim, label=f"critpath-calibration:{experiment}",
             scheme=scheme, extra={"calibration": calib},
+            attribution=summary_from_report(doc),
         )
         RunLedger(ledger).append(rec)
         if not as_json:

@@ -22,16 +22,14 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
+from repro.runtime.events import to_ns
+
 _FRAME_BAD = re.compile(r"[;\s]+")
 
 
 def _frame(name: str) -> str:
     """A folded-format-safe frame name (no separators, never empty)."""
     return _FRAME_BAD.sub("_", str(name).strip()) or "_"
-
-
-def _ns(t: float) -> int:
-    return int(round(t * 1e9))
 
 
 class _Node:
@@ -71,14 +69,14 @@ def _build_rank_tree(rank: int, spans, events) -> _Node:
     """A root node whose children are the rank's top-level spans + events."""
     horizon = 0
     for s in spans:
-        horizon = max(horizon, _ns(s.t_end))
+        horizon = max(horizon, to_ns(s.t_end))
     for e, _targets in events:
-        horizon = max(horizon, _ns(e.t_end))
+        horizon = max(horizon, to_ns(e.t_end))
     root = _Node(_frame(f"rank{rank}"), 0, horizon)
     by_sid: Dict[int, _Node] = {}
     # parents appear with smaller depth; build shallow-to-deep
-    for s in sorted(spans, key=lambda s: (s.depth, _ns(s.t_start), s.sid)):
-        node = _Node(_span_frame(s), _ns(s.t_start), _ns(s.t_end))
+    for s in sorted(spans, key=lambda s: (s.depth, to_ns(s.t_start), s.sid)):
+        node = _Node(_span_frame(s), to_ns(s.t_start), to_ns(s.t_end))
         parent = by_sid.get(s.parent) if s.parent is not None else None
         (parent or root).children.append(node)
         by_sid[s.sid] = node
@@ -89,8 +87,8 @@ def _build_rank_tree(rank: int, spans, events) -> _Node:
                 return innermost(child, a, b)
         return node
 
-    for e, _targets in sorted(events, key=lambda t: (_ns(t[0].t_start), t[0].kind)):
-        a, b = _ns(e.t_start), _ns(e.t_end)
+    for e, _targets in sorted(events, key=lambda t: (to_ns(t[0].t_start), t[0].kind)):
+        a, b = to_ns(e.t_start), to_ns(e.t_end)
         if b <= a:
             continue
         innermost(root, a, b).children.append(_Node(_event_frame(e), a, b))
@@ -105,13 +103,7 @@ def folded_stacks(sim) -> List[Tuple[str, int]]:
         per_rank_spans.setdefault(s.rank, []).append(s)
     per_rank_events: Dict[int, list] = {}
     for e in tracer.events:
-        if e.kind == "compute":
-            targets = (e.ranks[0],)
-        elif e.kind == "p2p":
-            targets = (e.ranks[1],)
-        else:
-            targets = e.ranks
-        for r in targets:
+        for r in e.occupied_ranks:
             per_rank_events.setdefault(r, []).append((e, r))
 
     totals: Dict[str, int] = {}

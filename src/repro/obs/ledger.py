@@ -164,13 +164,16 @@ def record_from_sim(
     config=None,
     mesh: Optional[dict] = None,
     extra: Optional[dict] = None,
+    attribution: Optional[dict] = None,
 ) -> RunRecord:
     """Build a :class:`RunRecord` by *reading* a simulator's counters.
 
     Pure read-only: nothing here touches clocks, memory meters, traces or
     numerics, which is what keeps ledger-on and ledger-off runs bit-identical.
     Traced runs additionally carry a critical-path attribution summary
-    (:func:`repro.obs.critpath.attribution_summary` — also read-only).
+    (:func:`repro.obs.critpath.attribution_summary` — also read-only); a
+    caller that already analyzed the run passes that summary as
+    ``attribution`` instead.
     """
     cfg_doc = None
     if config is not None:
@@ -187,11 +190,14 @@ def record_from_sim(
     }
     if mesh:
         mesh_doc.update(mesh)
-    attribution = None
     if sim.tracer.enabled and sim.tracer.events:
-        from repro.obs.critpath import attribution_summary
+        if attribution is None:
+            from repro.obs.critpath import attribution_summary
 
-        attribution = json_safe(attribution_summary(sim))
+            attribution = attribution_summary(sim)
+        attribution = json_safe(attribution)
+    else:
+        attribution = None
     return RunRecord(
         kind=kind,
         label=label,

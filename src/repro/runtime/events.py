@@ -13,6 +13,9 @@ Two complementary record types, both stamped in *simulated* time:
   id, and the parent span id on the same rank, so exporters can rebuild the
   nesting exactly (and the Perfetto exporter renders one track per rank).
 
+Both are immutable named tuples: cheap to build on the recording path, and
+cheap for analyses to transpose into columns (``zip(*tracer.events)``).
+
 Tracing is off by default and must cost ~nothing when disabled: hot call
 sites are expected to check :attr:`Tracer.enabled` *before* building
 argument tuples, and :meth:`Tracer.span` returns a shared no-op context
@@ -21,12 +24,14 @@ manager without touching any per-rank state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+
+#: the shared read-only default for :attr:`Span.attrs`
+_NO_ATTRS: Mapping[str, object] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     kind: str  # "broadcast", "reduce", "all_reduce", "p2p", "compute", ...
     ranks: Tuple[int, ...]
     t_start: float
@@ -40,9 +45,23 @@ class TraceEvent:
     def duration(self) -> float:
         return self.t_end - self.t_start
 
+    @property
+    def occupied_ranks(self) -> Tuple[int, ...]:
+        """The ranks whose timeline this event occupies.
 
-@dataclass(frozen=True)
-class Span:
+        A compute kernel runs on its issuing rank (``ranks[0]``); a p2p
+        transfer stalls only its receiver (``ranks[1]``), since the sender's
+        copy engine does not block it; every other event occupies all of
+        its participants.
+        """
+        if self.kind == "compute":
+            return self.ranks[:1]
+        if self.kind == "p2p":
+            return self.ranks[1:2]
+        return self.ranks
+
+
+class Span(NamedTuple):
     """One rank's view of a hierarchical trace region."""
 
     name: str
@@ -53,11 +72,16 @@ class Span:
     depth: int  # nesting depth on this rank (0 = top level)
     sid: int  # span id, shared by all ranks of the same region
     parent: Optional[int]  # enclosing span's sid on this rank, if any
-    attrs: Mapping[str, object] = field(default_factory=dict)
+    attrs: Mapping[str, object] = _NO_ATTRS
 
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
+
+
+def to_ns(t: float) -> int:
+    """Simulated seconds as whole nanoseconds, the analyses' time quantum."""
+    return int(round(t * 1e9))
 
 
 class _NullSpan:
@@ -113,15 +137,15 @@ class _SpanHandle:
             stack.pop()
             self.tracer.spans.append(
                 Span(
-                    name=self.name,
-                    category=self.category,
-                    rank=r,
-                    t_start=self._t0[r],
-                    t_end=clock(r) if clock is not None else 0.0,
-                    depth=self._depth[r],
-                    sid=self.sid,
-                    parent=self._parent[r],
-                    attrs=self.attrs,
+                    self.name,
+                    self.category,
+                    r,
+                    self._t0[r],
+                    clock(r) if clock is not None else 0.0,
+                    self._depth[r],
+                    self.sid,
+                    self._parent[r],
+                    self.attrs,
                 )
             )
         return False

@@ -8,10 +8,14 @@ tracer feeding it must not move a single clock, byte or loss value.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import tiny_config
 from repro.core.model import OptimusModel
@@ -19,12 +23,15 @@ from repro.mesh.mesh import Mesh
 from repro.nn.init import init_transformer_params
 from repro.obs.critpath import (
     CATEGORIES,
+    attribute_window,
     attribution_summary,
     build_windows,
     critpath_report,
 )
 from repro.obs.flamegraph import render_folded, validate_folded
 from repro.obs.ledger import canonical_json
+from repro.obs.profile import run_profile
+from repro.runtime.events import Span, TraceEvent, Tracer, to_ns
 from repro.runtime.simulator import Simulator
 
 
@@ -66,6 +73,22 @@ def _hybrid_iteration(trace: bool = True, num_replicas: int = 2, q: int = 2):
     dp = DataParallel(sim, cfg, params, num_replicas, q)
     ids, labels = random_batch(cfg, num_replicas * 2, seed=1)
     dp.forward_backward(ids, labels)
+    return sim
+
+
+def _pipeline_run(trace: bool = True):
+    """One 1F1B iteration over four stages: p2p hops between ranks."""
+    from repro.pipeline.engine import PipelineModel
+
+    cfg = tiny_config(num_layers=4)
+    params = init_transformer_params(cfg, seed=1)
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len))
+    labels = rng.integers(0, cfg.vocab_size, size=(8, cfg.seq_len))
+    sim = Simulator.for_flat(p=4, backend="numpy", trace=trace)
+    PipelineModel(sim, cfg, params, num_micro_batches=4, schedule="1f1b").forward_backward(
+        ids, labels
+    )
     return sim
 
 
@@ -402,6 +425,234 @@ class TestDashIntegration:
         assert series["clock"] == [("aaa", 2.0), ("bbb", 3.0)]
         svg = _sparkline(series["clock"])
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: sha256 of ``canonical_json(critpath_report(sim))`` and of
+#: ``render_folded(sim)`` per traced workload, recorded on the per-segment
+#: analyzer that the columnar one replaced; any drift of a byte fails
+GOLDEN_DIGESTS = {
+    "tiny-optimus": (
+        "2a5cf8d5365f6c9b69f2bd16a8473ca151280016b9c0da267bb5123de62b96dd",
+        "e61077a0a3e35d46b316203b4295f9fcdb6a559a2390803045c0f0145269ad9a",
+    ),
+    "tiny-megatron": (
+        "fdb3cbfc02053be33e02e6e1c66cb8b011902bff827dee42ef9335fcd27f14da",
+        "243106fdc03764460a96352c8edf02b03db77f2291880cac78a5d82dfbca4662",
+    ),
+    # two step windows
+    "train": (
+        "23c371abb88d24b83cd1e905eaaadcc8bb8c5a81291e2635aa8c5d7d9462b7ec",
+        "770358f844c2cfeed25925d3e99137c51a5acb1c4102509f01d2f28ea300c86a",
+    ),
+    # 37 step windows; the "request"-kind events are not attributed
+    "serve": (
+        "16b343a064826a87b68663ec9019337309ace8b1df0e2e44a3966c3beefa1890",
+        "dfed4ae73ecebae805236e303a89bf62cf5e79cf8d113faf4a94408a842ba9e6",
+    ),
+    "hybrid": (
+        "84eec67878f5b3d4726bf012fd803f8bc24b30dfeb2180009946f73de934cee9",
+        "0d820aaec9f36ebdde05d24cbd15bce9a9e487fef5e61c2e6d211f708284c557",
+    ),
+    # p2p receives: clipped tails and the hop back to the sender
+    "pipeline-1f1b": (
+        "4d8f18aab577f77d3eb251bdad02aefd11954962598a093caff1a80a7b45625b",
+        "d81ed31983f513936323d466a61d9037c44234e4089b07c0f9073f929898f973",
+    ),
+}
+
+_GOLDEN_RUNS = {
+    "tiny-optimus": lambda: run_profile("tiny", scheme="optimus"),
+    "tiny-megatron": lambda: run_profile("tiny", scheme="megatron"),
+    "train": lambda: run_profile("train"),
+    "serve": lambda: run_profile("serve"),
+    "hybrid": _hybrid_iteration,
+    "pipeline-1f1b": _pipeline_run,
+}
+
+
+class TestGoldenBytes:
+    """The analyzer's documents are pinned byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_report_and_folded_digests(self, name):
+        sim = _GOLDEN_RUNS[name]()
+        report, folded = GOLDEN_DIGESTS[name]
+        assert _sha256(canonical_json(critpath_report(sim))) == report
+        assert _sha256(render_folded(sim)) == folded
+
+    def test_pipeline_path_hops_to_the_sender(self):
+        doc = critpath_report(_pipeline_run())
+        (w,) = doc["windows"]
+        segs = w["critical_path"]["segments"]
+        assert any(s["kind"] == "p2p" for s in segs)
+        assert len({s["rank"] for s in segs}) > 1
+
+
+class TestCalibrateOnce:
+    """``repro critpath --calibrate`` analyzes the traced run exactly once."""
+
+    def test_one_analysis_pass(self, monkeypatch, tmp_path):
+        from repro.obs import critpath
+        from repro.obs.ledger import RunLedger
+
+        passes = []
+        real = critpath.build_windows
+
+        def counting(sim):
+            passes.append(sim)
+            return real(sim)
+
+        monkeypatch.setattr(critpath, "build_windows", counting)
+        ledger = str(tmp_path / "ledger.jsonl")
+        lines: list = []
+        assert critpath.main("tiny", as_json=True, calibrate=True, ledger=ledger,
+                             printer=lines.append) == 0
+        assert len(passes) == 1
+        # the derived documents equal fresh analyses of the same run
+        sim = passes[0]
+        assert json.loads("\n".join(lines)) == json.loads(canonical_json(
+            critpath.calibration_suggestion(sim, "tiny", "optimus")))
+        (rec,) = RunLedger(ledger).read()
+        assert rec.attribution == json.loads(canonical_json(attribution_summary(sim)))
+
+
+# ----------------------------------------------------------------------
+# the tiling on synthetic traces, against brute-force oracles
+# ----------------------------------------------------------------------
+_SYNTH_KINDS = ("compute", "broadcast", "all_reduce", "p2p", "checkpoint", "request")
+_ATTRIBUTED = {"compute": "compute", "broadcast": "comm", "all_reduce": "comm",
+               "p2p": "comm", "checkpoint": "overhead"}
+
+
+def _synthetic_sim(seed: int):
+    """A random trace on whole-ns times: overlapping, shadowed, zero-length
+    and inverted events; overlapping step windows whose edges cut events;
+    same-category spans that nest, overlap or share identical extents."""
+    rng = np.random.default_rng(seed)
+    num_ranks = int(rng.integers(1, 5))
+    horizon = int(rng.integers(5, 80))
+
+    def t(ns) -> float:
+        return int(ns) * 1e-9
+
+    events = []
+    for _ in range(int(rng.integers(0, 40))):
+        kind = _SYNTH_KINDS[int(rng.integers(len(_SYNTH_KINDS)))]
+        if kind == "p2p":
+            if num_ranks < 2:
+                continue
+            ranks = tuple(int(r) for r in rng.choice(num_ranks, 2, replace=False))
+        elif kind == "compute":
+            ranks = (int(rng.integers(num_ranks)),)
+        else:
+            k = int(rng.integers(1, num_ranks + 1))
+            ranks = tuple(sorted(int(r) for r in rng.choice(num_ranks, k, replace=False)))
+        a = int(rng.integers(0, horizon))
+        b = a + int(rng.integers(-3, 20))  # zero-length and inverted too
+        events.append(TraceEvent(kind, ranks, t(a), t(b), nbytes=8.0, label="g"))
+
+    spans = []
+    sid = 0
+    for category in ("layer", "op"):
+        for r in range(num_ranks):
+            for j in range(int(rng.integers(0, 8))):
+                a = int(rng.integers(0, horizon))
+                b = a + int(rng.integers(0, 30))
+                copies = 2 if rng.random() < 0.3 else 1  # identical extents
+                for c in range(copies):
+                    sid += 1
+                    attrs = {"index": j * 2 + c, "phase": "forward"} if category == "layer" else {}
+                    spans.append(Span(f"{category}{j}.{c}", category, r, t(a), t(b),
+                                      0, sid, None, attrs))
+    for step in range(int(rng.integers(0, 3))):
+        sid += 1
+        for r in range(num_ranks):
+            a = int(rng.integers(0, horizon))
+            b = a + int(rng.integers(0, 40))
+            spans.append(Span("step", "step", r, t(a), t(b), 0, sid, None, {"step": step}))
+    rng.shuffle(spans)  # recording order must only break exact ties
+
+    tracer = Tracer(enabled=True, events=events, spans=spans)
+    return SimpleNamespace(tracer=tracer, num_ranks=num_ranks,
+                           elapsed=lambda: t(horizon))
+
+
+def _innermost(spans, category, rank, point, name_of):
+    """Brute force: the containing span latest by (start, -end, recording)."""
+    best, best_key = None, None
+    for seq, s in enumerate(spans):
+        if s.category != category or s.rank != rank:
+            continue
+        a, b = to_ns(s.t_start), to_ns(s.t_end)
+        if a <= point <= b and (best_key is None or (a, -b, seq) > best_key):
+            best, best_key = s, (a, -b, seq)
+    return name_of(best) if best is not None else ""
+
+
+def _union(intervals):
+    out = []
+    for a, b in sorted(intervals):
+        if out and a <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], b)
+        else:
+            out.append([a, b])
+    return out
+
+
+class TestTilingProperties:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_windows_tile_conserve_and_label(self, seed):
+        from repro.obs.critpath import _layer_name
+
+        sim = _synthetic_sim(seed)
+        events, spans = sim.tracer.events, sim.tracer.spans
+        for w in build_windows(sim):
+            per_rank = attribute_window(w)
+            assert sorted(w.timelines) == list(range(sim.num_ranks))
+            for r, segs in w.timelines.items():
+                # contiguous, positive, covering the window exactly
+                if w.wall_ns > 0:
+                    assert segs[0].start_ns == w.start_ns
+                    assert segs[-1].end_ns == w.end_ns
+                else:
+                    assert segs == []
+                for prev, cur in zip(segs, segs[1:]):
+                    assert prev.end_ns == cur.start_ns
+                assert all(s.duration_ns > 0 for s in segs)
+                assert sum(s.duration_ns for s in segs) == w.wall_ns
+                att = per_rank[r]
+                assert att.total_ns == w.wall_ns
+                for c in CATEGORIES:
+                    assert getattr(att, c + "_ns") == sum(
+                        s.duration_ns for s in segs if s.category == c)
+                # busy time covers exactly the union of the rank's atoms
+                atoms = []
+                for e in events:
+                    a, b = max(to_ns(e.t_start), w.start_ns), min(to_ns(e.t_end), w.end_ns)
+                    if e.kind in _ATTRIBUTED and r in e.occupied_ranks and b > a:
+                        atoms.append((a, b))
+                busy = [s for s in segs if s.category != "stall"]
+                assert _union((s.start_ns, s.end_ns) for s in busy) == _union(atoms)
+                for s in busy:
+                    e = events[s.event_index]
+                    assert r in e.occupied_ranks
+                    assert (s.kind, s.category) == (e.kind, _ATTRIBUTED[e.kind])
+                    assert to_ns(e.t_start) <= s.start_ns < s.end_ns <= to_ns(e.t_end)
+                    mid = (s.start_ns + s.end_ns) // 2
+                    assert s.layer == _innermost(spans, "layer", r, mid, _layer_name)
+                    assert s.op == _innermost(spans, "op", r, mid, lambda x: x.name)
+
+    def test_vectorized_ns_matches_to_ns(self):
+        from repro.obs.critpath import _ns_array
+
+        rng = np.random.default_rng(0)
+        ts = list(rng.random(2000) * 10) + [k * 0.5e-9 for k in range(-50, 2000)]
+        assert _ns_array(ts).tolist() == [to_ns(x) for x in ts]
 
 
 def test_mean_over_categories_matches_numpy():

@@ -27,7 +27,7 @@ from repro.obs.comm_matrix import total as matrix_total
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perfetto import chrome_trace, write_chrome_trace
 from repro.runtime.analysis import collective_stats, rank_activity
-from repro.runtime.events import NULL_SPAN, Tracer
+from repro.runtime.events import NULL_SPAN, Span, TraceEvent, Tracer
 from repro.runtime.simulator import Simulator
 
 
@@ -121,6 +121,24 @@ class TestSpans:
         with tr.span("anything", [0, 1]):
             pass
         assert tr.spans == [] and tr.events == []
+
+    def test_records_are_immutable_named_tuples(self):
+        e = TraceEvent("all_reduce", (0, 2, 3), 1.0, 1.5)
+        assert (e.nbytes, e.label, e.weighted, e.attrs) == (0.0, "", 0.0, None)
+        assert e.duration == 0.5
+        with pytest.raises(AttributeError):
+            e.t_end = 2.0
+        s = Span("op", "op", 0, 0.0, 1.0, 0, 1, None)
+        assert dict(s.attrs) == {} and s.duration == 1.0
+        with pytest.raises(TypeError):
+            s.attrs["k"] = 1  # the shared default is read-only
+
+    def test_occupied_ranks(self):
+        """One rule for the critpath tiling and the flamegraph stacks."""
+        assert TraceEvent("compute", (3, 1), 0.0, 1.0).occupied_ranks == (3,)
+        assert TraceEvent("p2p", (1, 2), 0.0, 1.0).occupied_ranks == (2,)
+        assert TraceEvent("broadcast", (0, 1, 2), 0.0, 1.0).occupied_ranks == (0, 1, 2)
+        assert TraceEvent("checkpoint", (0, 1), 0.0, 1.0).occupied_ranks == (0, 1)
 
     def test_spans_of_filters(self):
         sim = _traced_stem("numpy")
