@@ -11,7 +11,7 @@ The data semantics mirror MPI: ``broadcast`` copies the root's buffer to all,
 concatenate in rank order along an axis, ``reduce_scatter`` sums then splits,
 ``scatter`` splits the root's buffer.
 
-Two hot-path refinements (numerics-neutral, see ``docs/simulator.md``):
+Three hot-path refinements (numerics-neutral, see ``docs/simulator.md``):
 
 * **single-rank groups are zero-copy** — a collective over one rank moves no
   data, charges nothing, and returns the caller's buffer unchanged instead
@@ -20,7 +20,12 @@ Two hot-path refinements (numerics-neutral, see ``docs/simulator.md``):
   ``precost=(dt, nbytes, weighted)`` tuple so a caller that already knows
   the α–β price (the SUMMA plan cache) skips recomputing byte counts and
   tree-stage timing on every step.  The charged quantities are identical to
-  the computed ones by construction of the plan.
+  the computed ones by construction of the plan;
+* **fused charge** — ``_charge`` prices a collective in one pass over the
+  group's cached devices (``group.devices``): max of the clocks, every
+  clock set to ``t0 + dt``, then the four comm counters — the arithmetic of
+  ``sim.sync`` + ``sim.advance`` + per-rank ``charge_comm`` without their
+  call overhead.
 """
 
 from __future__ import annotations
@@ -74,18 +79,24 @@ def _copy(x):
 
 
 def _charge(group: ProcessGroup, kind: str, dt: float, nbytes: float, weighted: float):
-    sim = group.sim
     if group.size <= 1:
         return  # a single-rank group moves no data and costs nothing
-    t0 = sim.sync(group.ranks)
-    sim.advance(group.ranks, dt)
-    for r in group.ranks:
-        sim.device(r).charge_comm(dt, nbytes, weighted)
+    # bit-identical to sim.sync + sim.advance + per-rank charge_comm
+    devs = group.devices
+    t0 = max([d.clock for d in devs])
+    t1 = t0 + dt
+    for d in devs:
+        d.clock = t1
+        d.comm_time += dt
+        d.bytes_comm += nbytes
+        d.weighted_comm_volume += weighted
+        d.num_collectives += 1
     # guard before touching the tracer: when tracing is off the hot SUMMA
     # loop must not pay for argument construction
-    if sim.tracer.enabled:
-        sim.tracer.record(
-            kind, group.ranks, t0, t0 + dt,
+    tracer = group.sim.tracer
+    if tracer.enabled:
+        tracer.record(
+            kind, group.ranks, t0, t1,
             nbytes=nbytes, label=group.kind, weighted=weighted,
         )
 

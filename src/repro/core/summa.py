@@ -218,8 +218,10 @@ def _dtype_sig(mesh: Mesh, x: DTensor):
     # non-strict mode permits mixed per-shard dtypes, and a mixed tensor
     # colliding with the uniform plan would reuse the wrong out-dtype and
     # wrong scratch/broadcast byte counts (stale-cache bug, PR 7).
+    # Keyed by the dtype objects themselves: ``np.dtype.name`` is a
+    # Python-level getter, and this runs on every SUMMA call.
     shards = x.shards
-    return tuple(shards[r].dtype.name for r in mesh.ranks)
+    return tuple(shards[r].dtype for r in mesh.ranks)
 
 
 def _out_dtype(a: DTensor, b: DTensor, numeric: bool):

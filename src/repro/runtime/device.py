@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.hardware.specs import DeviceSpec
@@ -37,6 +37,11 @@ class SimDevice:
     comm_time: float = 0.0
     num_collectives: int = 0
     tracer: Optional[Tracer] = None  # wired by the Simulator
+    #: ``spec.effective_flops``, read once (``DeviceSpec`` is frozen)
+    effective_flops: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.effective_flops = self.spec.effective_flops
 
     def compute(self, flops: float, kind: str = "gemm") -> float:
         """Charge a local computation; returns the simulated duration.
@@ -48,7 +53,7 @@ class SimDevice:
         """
         if flops < 0:
             raise ValueError("negative flops")
-        dt = flops / self.spec.effective_flops
+        dt = flops / self.effective_flops
         self.flops += flops
         if kind == "gemm":
             self.flops_gemm += flops

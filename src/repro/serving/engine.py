@@ -15,9 +15,17 @@ twins) — SUMMA and the Megatron conjugate all-reduces accept any token
 count, so the decode path exercises the exact communication/compute
 accounting of training, including the ``REPRO_SUMMA_BATCHED`` batched-mesh
 engine, which stays bit-exact here (asserted by the serving A/B benchmark).
-Only attention is new: per-lane causal attention over the sharded KV cache
+Only attention is new: causal attention over the sharded KV cache
 (:func:`repro.reference.attention.decode_attention_fwd`), fully local per
-rank in both schemes.
+rank in both schemes.  Every rank of a KV shard group holds the same lanes
+at the same lengths, so :meth:`ServingEngine._attention` — shared by both
+engines — stacks the group's ``qkv`` shards once per layer and runs one
+cache write, one gather and one attention call per lane over all of the
+group's local heads (``[R·n_loc, ℓ, d]``).  Lanes of different lengths are
+never padded together: each lane is its own call, which keeps the numerics
+bit-identical to attending rank by rank.  The compute charges are then
+replayed per (rank, lane) in rank order, so clocks and traced events do
+not depend on the stacking.
 
 Greedy sampling is distributed and *priced*: each rank finds its local
 vocabulary stripe's (max, argmax), the candidates are all-gathered along
@@ -103,6 +111,7 @@ class ServingEngine:
         self.options = options if options is not None else ServingOptions()
         self.injector = injector
         self.cache: ShardedKVCache
+        self.n_loc: int  # heads per rank
         self.scheduler: ContinuousBatchingScheduler
         self.swap: Optional[HostSwapSpace] = None
         self.all_ranks: Sequence[int] = []
@@ -293,10 +302,66 @@ class ServingEngine:
         )
 
     # ------------------------------------------------------------------
-    def _charge_attention(self, dev, n_loc: int, ell: int, d: int, probs) -> None:
+    def _attention(
+        self,
+        layer: int,
+        qkv: DTensor,
+        lanes_by_group: Sequence[Sequence[LaneInput]],
+        width: int,
+    ) -> Dict[int, np.ndarray]:
+        """Decode attention for one layer; returns per-rank ``[width, n_loc·d]``.
+
+        ``lanes_by_group[g]`` are the live lanes of KV shard group ``g``
+        (in ``self.cache.groups`` order); lanes ``len(lanes) .. width-1``
+        are padding (fresh K/V only, nothing cached).  Each lane is one
+        write, one gather and one :func:`decode_attention_fwd` over all
+        ``R·n_loc`` heads of its group.
+        """
+        n_loc, d = self.n_loc, self.cfg.head_dim
+        cache, sim = self.cache, self.sim
+        ctx_shards: Dict[int, np.ndarray] = {}
+        for g, lanes in zip(cache.groups, lanes_by_group):
+            ranks = g.ranks
+            R = len(ranks)
+            shards = [np.asarray(qkv.local(r)) for r in ranks]
+            stacked = np.stack(shards).reshape((R, width, n_loc, 3, d))
+            ctx = np.empty((R, width, n_loc, d), dtype=stacked.dtype)
+            ells = []
+            for w in range(width):
+                k_new = stacked[:, w, :, 1, :]
+                v_new = stacked[:, w, :, 2, :]
+                if w < len(lanes):
+                    e = lanes[w]
+                    cache.write(e.slot, layer, e.pos, k_new, v_new)
+                    k_cat, v_cat = cache.gather(e.slot, layer, e.pos + 1)
+                else:  # padding lane: fresh K/V only, nothing cached
+                    k_cat = k_new[:, :, None, :]
+                    v_cat = v_new[:, :, None, :]
+                ell = k_cat.shape[2]
+                c, _ = decode_attention_fwd(
+                    stacked[:, w, :, 0, :].reshape((R * n_loc, d)),
+                    k_cat.reshape((R * n_loc, ell, d)),
+                    v_cat.reshape((R * n_loc, ell, d)),
+                )
+                ctx[:, w] = c.reshape((R, n_loc, d))
+                ells.append(ell)
+            for i, rank in enumerate(ranks):
+                dev = sim.device(rank)
+                for ell in ells:
+                    self._charge_attention(dev, n_loc, ell, d)
+                ctx_shards[rank] = ctx[i].reshape((width, n_loc * d))
+        return ctx_shards
+
+    @staticmethod
+    def _charge_attention(dev, n_loc: int, ell: int, d: int) -> None:
         dev.compute(2.0 * n_loc * ell * d)  # q·Kᵀ
         dev.compute(2.0 * n_loc * ell * d)  # probs·V
-        dev.compute(_ELEMWISE_COST["softmax"] * probs.size, kind="elementwise")
+        dev.compute(_ELEMWISE_COST["softmax"] * (n_loc * ell), kind="elementwise")
+
+    def _charge_add(self, dt: DTensor) -> None:
+        for rank, shard in dt.shards.items():
+            dev = self.sim.device(rank)
+            dev.compute(_ELEMWISE_COST["add"] * shard.size, kind="elementwise")
 
     @staticmethod
     def _pick_winner(gathered: np.ndarray, stripes: int) -> np.ndarray:
@@ -377,8 +442,7 @@ class OptimusServingEngine(ServingEngine):
         return self.q * max(len(r) for r in rows)
 
     def step(self, entries: List[LaneInput]) -> Dict[int, int]:
-        mesh, cfg, model = self.mesh, self.cfg, self.model
-        q, n_loc, d = self.q, self.n_loc, cfg.head_dim
+        mesh, cfg, model, q = self.mesh, self.cfg, self.model, self.q
         rows = self._rows_of(entries)
         width = max(len(r) for r in rows)
 
@@ -395,28 +459,7 @@ class OptimusServingEngine(ServingEngine):
         for layer in model.layers:
             a = layer.ln1.forward(x)
             qkv = layer.attn.qkv_linear.forward(a)  # [q·width, 3h] blocked
-            ctx_shards = {}
-            for i in range(q):
-                row = rows[i]
-                for j in range(q):
-                    rank = mesh.rank(i, j)
-                    local = np.asarray(qkv.local(rank)).reshape((width, n_loc, 3, d))
-                    dev = mesh.device(rank)
-                    ctx = np.empty((width, n_loc, d), dtype=local.dtype)
-                    for w in range(width):
-                        k_vec = local[w, :, 1, :]
-                        v_vec = local[w, :, 2, :]
-                        if w < len(row):
-                            e = row[w]
-                            self.cache.write(e.slot, layer.index, rank, e.pos, k_vec, v_vec)
-                            k_cat, v_cat = self.cache.gather(e.slot, layer.index, rank, e.pos + 1)
-                        else:  # padding lane: fresh K/V only, nothing cached
-                            k_cat = k_vec[:, None, :]
-                            v_cat = v_vec[:, None, :]
-                        c, probs = decode_attention_fwd(local[w, :, 0, :], k_cat, v_cat)
-                        ctx[w] = c
-                        self._charge_attention(dev, n_loc, k_cat.shape[1], d, probs)
-                    ctx_shards[rank] = ctx.reshape((width, n_loc * d))
+            ctx_shards = self._attention(layer.index, qkv, rows, width)
             ctx_dt = DTensor(mesh, BLOCKED_2D, ctx_shards, (q * width, cfg.hidden_size))
             x = x + layer.attn.out_linear.forward(ctx_dt)
             self._charge_add(x)
@@ -429,11 +472,6 @@ class OptimusServingEngine(ServingEngine):
         model.drop_caches()
         model.buffers.reset_region("forward")
         return sampled
-
-    def _charge_add(self, dt: DTensor) -> None:
-        for rank, shard in dt.shards.items():
-            dev = self.mesh.device(rank)
-            dev.compute(_ELEMWISE_COST["add"] * shard.size, kind="elementwise")
 
     def _sample_greedy(
         self, logits: DTensor, rows: List[List[LaneInput]], width: int
@@ -501,7 +539,6 @@ class MegatronServingEngine(ServingEngine):
 
     def step(self, entries: List[LaneInput]) -> Dict[int, int]:
         cfg, model, group = self.cfg, self.model, self.group
-        n_loc, d = self.n_loc, cfg.head_dim
         B = len(entries)
 
         ids = np.array([[e.token] for e in entries], dtype=np.int64)
@@ -510,19 +547,7 @@ class MegatronServingEngine(ServingEngine):
         for layer in model.layers:
             a = layer.ln1.forward(x)
             qkv = layer.attn.qkv_linear.forward(a)  # [B, 3h] column-sharded
-            ctx_shards = {}
-            for rank in group.ranks:
-                local = np.asarray(qkv.local(rank)).reshape((B, n_loc, 3, d))
-                dev = group.sim.device(rank)
-                ctx = np.empty((B, n_loc, d), dtype=local.dtype)
-                for w, e in enumerate(entries):
-                    k_vec, v_vec = local[w, :, 1, :], local[w, :, 2, :]
-                    self.cache.write(e.slot, layer.index, rank, e.pos, k_vec, v_vec)
-                    k_cat, v_cat = self.cache.gather(e.slot, layer.index, rank, e.pos + 1)
-                    c, probs = decode_attention_fwd(local[w, :, 0, :], k_cat, v_cat)
-                    ctx[w] = c
-                    self._charge_attention(dev, n_loc, k_cat.shape[1], d, probs)
-                ctx_shards[rank] = ctx.reshape((B, n_loc * d))
+            ctx_shards = self._attention(layer.index, qkv, [entries], B)
             ctx_dt = DTensor(group, SHARDED_1D(1), ctx_shards, (B, cfg.hidden_size))
             x = x + layer.attn.out_linear.forward(ctx_dt)
             self._charge_add(x)
@@ -535,11 +560,6 @@ class MegatronServingEngine(ServingEngine):
         model.drop_caches()
         model.buffers.reset_region("forward")
         return sampled
-
-    def _charge_add(self, dt: DTensor) -> None:
-        for rank, shard in dt.shards.items():
-            dev = self.group.sim.device(rank)
-            dev.compute(_ELEMWISE_COST["add"] * shard.size, kind="elementwise")
 
     def _sample_greedy(self, logits: DTensor, entries: List[LaneInput]) -> Dict[int, int]:
         group, p = self.group, self.p

@@ -12,10 +12,20 @@ Layout mirrors how the two schemes partition attention:
 
 Storage is paged: each slot owns a table of fixed-size *blocks*
 (``block_size`` token positions), drawn from a per-group
-:class:`KVBlockPool` with a hard capacity.  Under the default conservative
-policy blocks are reserved up-front at admission (no mid-flight OOM, no
-preemption) and freed when the sequence is evicted; the preemptive policy
-instead reserves only the known prefix and grows on demand
+:class:`KVBlockPool` with a hard capacity.  A block is *group-stacked*:
+per layer it holds one K and one V array ``[R, n_loc, block_size, d]``
+covering all ``R`` ranks of its shard group, in ``group.ranks`` order.  A
+lane has the same KV length on every rank of its group, so
+:meth:`ShardedKVCache.write` and :meth:`ShardedKVCache.gather` move the
+whole group's shards in one slice and the engine runs one attention call
+per lane over ``[R·n_loc, ℓ, d]``.  Device memory is still charged per
+rank (:meth:`ShardedKVCache.bytes_per_rank_block`): the stacking is a
+host-side layout, not a change to what each device holds.
+
+Under the default conservative policy blocks are reserved up-front at
+admission (no mid-flight OOM, no preemption) and freed when the sequence
+is evicted; the preemptive policy instead reserves only the known prefix
+and grows on demand
 (:meth:`ShardedKVCache.ensure_capacity`), spilling preempted victims to a
 :class:`HostSwapSpace` — a host-memory tier metered under its own
 ``"kvswap"`` tag with transfer time priced on the simulated clock.  Backing
@@ -101,7 +111,7 @@ class SwapTicket:
 
     slot: int
     gid: int
-    stores: List[Dict[Tuple[int, int], Tuple]]  # one per block, in table order
+    stores: List[List[Tuple]]  # per block in table order: per layer (k, v)
     length: int  # committed token count at swap-out
     num_ranks: int
 
@@ -120,6 +130,7 @@ class KVBlockPool:
         self.capacity = num_blocks
         self._free: List[int] = list(range(num_blocks))
         heapq.heapify(self._free)
+        self._free_set = set(self._free)
         self.peak_in_use = 0
 
     @property
@@ -136,14 +147,27 @@ class KVBlockPool:
                 f"KV block pool {self.gid} exhausted: need {count}, free {self.free}"
             )
         ids = [heapq.heappop(self._free) for _ in range(count)]
+        self._free_set.difference_update(ids)
         self.peak_in_use = max(self.peak_in_use, self.in_use)
         return ids
 
     def release(self, ids: Sequence[int]) -> None:
+        """Return block ids to the pool; every id is validated before any
+        is pushed, so a bad release leaves the pool untouched."""
+        seen = set()
+        for b in ids:
+            if not 0 <= b < self.capacity:
+                raise RuntimeError(
+                    f"KV block pool {self.gid}: block id {b} outside range({self.capacity})"
+                )
+            if b in self._free_set or b in seen:
+                raise RuntimeError(
+                    f"KV block pool {self.gid}: double free of block {b}"
+                )
+            seen.add(b)
         for b in ids:
             heapq.heappush(self._free, b)
-        if len(self._free) > self.capacity:
-            raise RuntimeError(f"KV block pool {self.gid}: double free detected")
+        self._free_set.update(seen)
 
 
 @dataclass(frozen=True)
@@ -189,8 +213,8 @@ class ShardedKVCache:
                 if s in self._group_of_slot:
                     raise ValueError(f"slot {s} assigned to two shard groups")
                 self._group_of_slot[s] = g
-        #: (gid, block_id) -> {(layer, rank): (k [n_loc, bs, d], v [n_loc, bs, d])}
-        self._storage: Dict[Tuple[int, int], Dict[Tuple[int, int], Tuple]] = {}
+        #: (gid, block_id) -> per layer (k, v), each [R, n_loc, bs, d]
+        self._storage: Dict[Tuple[int, int], List[Tuple]] = {}
         self._tables: Dict[int, List[int]] = {}  # slot -> block ids, in order
         self._lengths: Dict[int, int] = {}  # slot -> committed token count
 
@@ -227,17 +251,14 @@ class ShardedKVCache:
     def _charge_blocks(self, g: KVShardGroup, block_ids: Sequence[int]) -> None:
         """Back freshly allocated block ids with arrays and device bytes."""
         nbytes = self.bytes_per_rank_block()
-        shape = (self.heads_loc, self.block_size, self.head_dim)
+        shape = (len(g.ranks), self.heads_loc, self.block_size, self.head_dim)
         for b in block_ids:
-            store: Dict[Tuple[int, int], Tuple] = {}
             for rank in g.ranks:
                 self.sim.device(rank).memory.alloc(nbytes, tag=KV_MEMORY_TAG)
-                for layer in range(self.num_layers):
-                    store[(layer, rank)] = (
-                        self.pool.acquire(shape, self.dtype),
-                        self.pool.acquire(shape, self.dtype),
-                    )
-            self._storage[(g.gid, b)] = store
+            self._storage[(g.gid, b)] = [
+                (self.pool.acquire(shape, self.dtype), self.pool.acquire(shape, self.dtype))
+                for _layer in range(self.num_layers)
+            ]
 
     def reserve(self, slot: int, kv_positions: int) -> None:
         """Allocate (and charge) every block for ``kv_positions`` tokens.
@@ -278,8 +299,7 @@ class ShardedKVCache:
         self._lengths.pop(slot)
         nbytes = self.bytes_per_rank_block()
         for b in block_ids:
-            store = self._storage.pop((g.gid, b))
-            for (_layer, _rank), (k, v) in store.items():
+            for k, v in self._storage.pop((g.gid, b)):
                 self.pool.release(k)
                 self.pool.release(v)
             for rank in g.ranks:
@@ -368,7 +388,7 @@ class ShardedKVCache:
         arrays go back to the free-list, host bytes are uncharged, no
         transfer is paid (dropping is free)."""
         for store in ticket.stores:
-            for (_layer, _rank), (k, v) in store.items():
+            for k, v in store:
                 self.pool.release(k)
                 self.pool.release(v)
         host_bytes = ticket.num_blocks * self.bytes_per_rank_block() * ticket.num_ranks
@@ -377,31 +397,31 @@ class ShardedKVCache:
         ticket.stores.clear()
 
     # ------------------------------------------------------------------
-    def write(self, slot: int, layer: int, rank: int, pos: int, k_vec, v_vec) -> None:
-        """Store one token's K/V (``[n_loc, d]``) at cache position ``pos``."""
+    def write(self, slot: int, layer: int, pos: int, k_vec, v_vec) -> None:
+        """Store one token's K/V (``[R, n_loc, d]``, all ranks of the slot's
+        group in ``group.ranks`` order) at cache position ``pos``."""
         g = self.group_of(slot)
-        table = self._tables[slot]
         b, off = divmod(pos, self.block_size)
-        k_arr, v_arr = self._storage[(g.gid, table[b])][(layer, rank)]
-        k_arr[:, off, :] = k_vec
-        v_arr[:, off, :] = v_vec
+        k_arr, v_arr = self._storage[(g.gid, self._tables[slot][b])][layer]
+        k_arr[:, :, off, :] = k_vec
+        v_arr[:, :, off, :] = v_vec
 
-    def gather(self, slot: int, layer: int, rank: int, upto: int):
-        """K/V for positions ``[0, upto)`` as ``[n_loc, upto, d]`` arrays."""
+    def gather(self, slot: int, layer: int, upto: int):
+        """K/V for positions ``[0, upto)`` as ``[R, n_loc, upto, d]`` arrays."""
         g = self.group_of(slot)
         table = self._tables[slot]
         bs = self.block_size
         nblocks = -(-upto // bs)
         if nblocks == 1:
-            k_arr, v_arr = self._storage[(g.gid, table[0])][(layer, rank)]
-            return k_arr[:, :upto, :], v_arr[:, :upto, :]
+            k_arr, v_arr = self._storage[(g.gid, table[0])][layer]
+            return k_arr[:, :, :upto, :], v_arr[:, :, :upto, :]
         ks, vs = [], []
         for b in range(nblocks):
-            k_arr, v_arr = self._storage[(g.gid, table[b])][(layer, rank)]
+            k_arr, v_arr = self._storage[(g.gid, table[b])][layer]
             hi = min(bs, upto - b * bs)
-            ks.append(k_arr[:, :hi, :])
-            vs.append(v_arr[:, :hi, :])
-        return np.concatenate(ks, axis=1), np.concatenate(vs, axis=1)
+            ks.append(k_arr[:, :, :hi, :])
+            vs.append(v_arr[:, :, :hi, :])
+        return np.concatenate(ks, axis=2), np.concatenate(vs, axis=2)
 
     def commit(self, slot: int) -> None:
         """Advance the committed length after a token's K/V is fully written."""

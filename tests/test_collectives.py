@@ -208,6 +208,54 @@ class TestClockAndCost:
         assert all(g.sim.device(r).clock == 3.0 for r in g.ranks)
 
 
+def _reference_charge(group, kind, dt, nbytes, weighted):
+    """The per-call sequence the fused ``collectives._charge`` replaces."""
+    sim = group.sim
+    if group.size <= 1:
+        return
+    t0 = sim.sync(group.ranks)
+    sim.advance(group.ranks, dt)
+    for r in group.ranks:
+        sim.device(r).charge_comm(dt, nbytes, weighted)
+    if sim.tracer.enabled:
+        sim.tracer.record(
+            kind, group.ranks, t0, t0 + dt,
+            nbytes=nbytes, label=group.kind, weighted=weighted,
+        )
+
+
+_COUNTERS = ("clock", "comm_time", "bytes_comm", "weighted_comm_volume", "num_collectives")
+
+
+class TestFusedCharge:
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sync_advance_charge_comm(self, p, data):
+        """Random groups (size-1 included, which charge nothing), clocks
+        and costs: every device counter and trace event is identical."""
+        floats = st.floats(0.0, 10.0)
+        clocks = data.draw(st.lists(floats, min_size=p, max_size=p))
+        # an ordered subset of the ranks, size 1 included
+        groups = st.permutations(range(p)).flatmap(
+            lambda perm: st.integers(1, p).map(lambda k: tuple(perm[:k]))
+        )
+        kinds = st.sampled_from(["broadcast", "reduce", "all_reduce", "all_gather"])
+        call = st.tuples(groups, kinds, floats, st.floats(0.0, 1e9), st.floats(0.0, 1e9))
+        calls = data.draw(st.lists(call, min_size=1, max_size=8))
+        sims = [Simulator.for_flat(p=p, trace=True) for _ in range(2)]
+        for sim in sims:
+            for r, c in zip(sim.ranks, clocks):
+                sim.device(r).clock = c
+        for ranks, kind, dt, nbytes, weighted in calls:
+            fused, ref = (ProcessGroup(sim, ranks, kind="g") for sim in sims)
+            coll.charge_only(fused, kind, (dt, nbytes, weighted))
+            _reference_charge(ref, kind, dt, nbytes, weighted)
+        for r in range(p):
+            a, b = sims[0].device(r), sims[1].device(r)
+            assert [getattr(a, f) for f in _COUNTERS] == [getattr(b, f) for f in _COUNTERS]
+        assert sims[0].tracer.events == sims[1].tracer.events
+
+
 class TestGroupValidation:
     def test_duplicate_ranks(self):
         sim = Simulator.for_flat(p=4)

@@ -6,13 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import tiny_config
+from repro.mesh.dtensor import DTensor
+from repro.mesh.layouts import BLOCKED_2D, SHARDED_1D
 from repro.nn.init import init_transformer_params
 from repro.obs.ledger import RunLedger, RunRecord, compact
+from repro.reference.attention import decode_attention_fwd
 from repro.reference.functional import gelu, layernorm_fwd
+from repro.runtime.device import SimDevice
+from repro.runtime.memory import MemoryMeter
 from repro.runtime.simulator import Simulator
-from repro.serving.engine import make_engine
+from repro.serving.engine import LaneInput, make_engine
 from repro.serving.kvcache import (
     KV_MEMORY_TAG,
     KVBlockPool,
@@ -115,6 +122,35 @@ class TestKVCache:
         with pytest.raises(RuntimeError, match="double free"):
             pool.release(ids)
 
+    def test_pool_double_free_rejected_before_mutation(self):
+        """A repeated release used to be pushed twice, so a later allocate
+        handed one block to two slots; a full pool caught it only after
+        corrupting itself (in_use == -1)."""
+        pool = KVBlockPool(7, 4)
+        assert pool.allocate(3) == [0, 1, 2]
+        pool.release([0])
+        with pytest.raises(RuntimeError, match="pool 7: double free.* block 0"):
+            pool.release([0])
+        assert (pool.free, pool.in_use) == (2, 2)
+        assert pool.allocate(2) == [0, 3]  # no block handed out twice
+        # full pool: rejected, and the pool is left as it was
+        pool.release([0])
+        with pytest.raises(RuntimeError, match="double free.* block 0"):
+            pool.release([0])
+        assert pool.in_use == 3
+        # a duplicate inside one release is rejected whole
+        with pytest.raises(RuntimeError, match="double free.* block 1"):
+            pool.release([1, 1])
+        assert pool.in_use == 3
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_pool_release_out_of_range_names_block(self, bad):
+        pool = KVBlockPool(3, 4)
+        pool.allocate(4)
+        with pytest.raises(RuntimeError, match=rf"pool 3: block id {bad} outside range\(4\)"):
+            pool.release([0, bad])
+        assert pool.in_use == 4  # block 0 was not released either
+
     def test_reserve_charges_and_free_refunds_device_memory(self):
         sim = Simulator.for_flat(2)
         cache = _flat_cache(sim, block_size=4, blocks=8)
@@ -136,9 +172,11 @@ class TestKVCache:
         ks = rng.normal(size=(7, 2, 3))
         vs = rng.normal(size=(7, 2, 3))
         for pos in range(7):
-            cache.write(0, 0, 0, pos, ks[pos], vs[pos])
+            # one rank in the group: the group-stacked layout is [1, n_loc, ·, d]
+            cache.write(0, 0, pos, ks[pos][None], vs[pos][None])
             cache.commit(0)
-        k_cat, v_cat = cache.gather(0, 0, 0, upto=7)
+        k_all, v_all = cache.gather(0, 0, upto=7)
+        k_cat, v_cat = k_all[0], v_all[0]
         assert k_cat.shape == (2, 7, 3)
         np.testing.assert_array_equal(k_cat, ks.transpose(1, 0, 2))
         np.testing.assert_array_equal(v_cat, vs.transpose(1, 0, 2))
@@ -151,6 +189,95 @@ class TestKVCache:
         assert opt.cache.per_device_capacity_bytes() == meg.cache.per_device_capacity_bytes()
         # and the shard itself is O(bsh/p): q× thinner heads on q²/q× ranks
         assert meg.cache.bytes_per_rank_block() * q == opt.cache.bytes_per_rank_block()
+
+
+# ----------------------------------------------------------------------
+# group-stacked decode attention
+# ----------------------------------------------------------------------
+@st.composite
+def _attention_cases(draw):
+    scheme = draw(st.sampled_from(["optimus", "megatron"]))
+    block_size = draw(st.integers(1, 4))
+    slots_per_group = 4 if scheme == "optimus" else 8
+    num_groups = 2 if scheme == "optimus" else 1
+    positions = st.integers(0, 4 * block_size + 1)
+    # per group: live lanes (distinct slots) with cache positions that span
+    # several blocks, so gathers hit one block, block edges and many blocks
+    lanes = []
+    for g in range(num_groups):
+        live = draw(st.integers(0, slots_per_group))
+        slots = sorted(draw(st.permutations(range(slots_per_group)))[:live])
+        lanes.append([(g * slots_per_group + s, draw(positions)) for s in slots])
+    width = max(1, max(len(group_lanes) for group_lanes in lanes)) + draw(st.integers(0, 2))
+    return scheme, block_size, lanes, width, draw(st.integers(0, 2**32 - 1))
+
+
+def _per_rank_attention(q_vec, past_k, past_v, k_new, v_new):
+    """One rank's attention as the per-rank path laid it out: cached
+    positions then the fresh token, ``[n_loc, ℓ, d]`` contiguous."""
+    k_cat = np.ascontiguousarray(np.concatenate([past_k, k_new[:, None, :]], axis=1))
+    v_cat = np.ascontiguousarray(np.concatenate([past_v, v_new[:, None, :]], axis=1))
+    return decode_attention_fwd(q_vec, k_cat, v_cat)[0]
+
+
+class TestStackedAttention:
+    @settings(max_examples=100, deadline=None)
+    @given(_attention_cases())
+    def test_matches_per_rank_attention_bit_for_bit(self, case):
+        scheme, block_size, lanes, width, seed = case
+        engine = make_engine(scheme, CFG, PARAMS, 2, 8, block_size, 64)
+        cache, n_loc, d = engine.cache, engine.n_loc, CFG.head_dim
+        rng = np.random.default_rng(seed)
+        past = {}  # slot -> (k, v) [R, n_loc, pos, d] written before this step
+        for g, group_lanes in zip(cache.groups, lanes):
+            R = len(g.ranks)
+            for slot, pos in group_lanes:
+                cache.reserve(slot, pos + 1)
+                k, v = rng.normal(size=(2, R, n_loc, pos, d))
+                for t in range(pos):
+                    cache.write(slot, 0, t, k[:, :, t], v[:, :, t])
+                    cache.commit(slot)
+                past[slot] = (k, v)
+
+        ranks = [r for g in cache.groups for r in g.ranks]
+        shards = {r: rng.normal(size=(width, 3 * n_loc * d)) for r in ranks}
+        if scheme == "optimus":
+            qkv = DTensor(engine.mesh, BLOCKED_2D, shards, (2 * width, 3 * CFG.hidden_size))
+        else:
+            qkv = DTensor(engine.group, SHARDED_1D(1), shards, (width, 3 * CFG.hidden_size))
+        inputs = [[LaneInput(slot=s, token=0, pos=pos) for s, pos in gl] for gl in lanes]
+        before = {r: (engine.sim.device(r).clock, engine.sim.device(r).flops) for r in ranks}
+
+        ctx = engine._attention(0, qkv, inputs, width)
+
+        for g, group_lanes in zip(cache.groups, lanes):
+            for i, rank in enumerate(g.ranks):
+                local = shards[rank].reshape((width, n_loc, 3, d))
+                replay = SimDevice(rank, engine.sim.device(rank).spec, MemoryMeter(rank))
+                replay.clock, replay.flops = before[rank]
+                for w in range(width):
+                    if w < len(group_lanes):
+                        slot, pos = group_lanes[w]
+                        past_k, past_v = (a[i] for a in past[slot])
+                    else:  # padding lane: length-1 self-attention
+                        past_k = past_v = np.empty((n_loc, 0, d))
+                    want = _per_rank_attention(
+                        local[w, :, 0], past_k, past_v, local[w, :, 1], local[w, :, 2]
+                    )
+                    got = ctx[rank].reshape((width, n_loc, d))[w]
+                    np.testing.assert_array_equal(got, want)
+                    engine._charge_attention(replay, n_loc, past_k.shape[1] + 1, d)
+                dev = engine.sim.device(rank)
+                assert (dev.clock, dev.flops) == (replay.clock, replay.flops)
+        # the fresh token's K/V landed in the cache at each lane's position
+        for g, group_lanes in zip(cache.groups, lanes):
+            stacked = np.stack([shards[r] for r in g.ranks])
+            stacked = stacked.reshape((len(g.ranks), width, n_loc, 3, d))
+            for w, (slot, pos) in enumerate(group_lanes):
+                k_all, v_all = cache.gather(slot, 0, pos + 1)
+                np.testing.assert_array_equal(k_all[:, :, pos], stacked[:, w, :, 1])
+                np.testing.assert_array_equal(v_all[:, :, pos], stacked[:, w, :, 2])
+                np.testing.assert_array_equal(k_all[:, :, :pos], past[slot][0])
 
 
 # ----------------------------------------------------------------------
