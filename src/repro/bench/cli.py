@@ -23,6 +23,11 @@ def main(
     ledger: Optional[str] = None,
     printer=print,
 ) -> int:
+    if threshold < 0:
+        raise ValueError(
+            f"--threshold must be >= 0 (got {threshold}): a negative "
+            "regression threshold flags every benchmark as REGRESSED"
+        )
     doc = run_suite(only=only, repeats=repeats, printer=printer)
     if out:
         if out == "auto":

@@ -131,6 +131,8 @@ def calibrate(reps: int = 9) -> float:
 def run_benchmark(name: str, repeats: Optional[int] = None) -> BenchResult:
     fn, default_repeats, gate = REGISTRY[name]
     n = repeats if repeats is not None else default_repeats
+    if n < 1:
+        raise ValueError(f"--repeats must be >= 1 (got {n}): {name} needs a timed run")
     walls: List[float] = []
     units: List[float] = []
     out: dict = {}

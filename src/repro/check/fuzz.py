@@ -179,20 +179,7 @@ def _run_distributed(spec: TrialSpec, cfg, ids, labels, scheme: str, strict: boo
     if strict:
         model.validate_invariants()
     post = {name: np.asarray(assemble_any(p.data)) for name, p in named.items()}
-    return loss, grads, post, sim
-
-
-def _sim_state(sim) -> dict:
-    """Every per-rank counter the batched engine must reproduce exactly."""
-    fields = (
-        "clock", "flops", "flops_gemm", "bytes_comm", "weighted_comm_volume",
-        "compute_time", "comm_time", "num_collectives",
-    )
-    return {
-        r: tuple(getattr(sim.device(r), f) for f in fields)
-        + (sim.device(r).memory.current, sim.device(r).memory.peak)
-        for r in sim.ranks
-    }
+    return loss, grads, post
 
 
 def _diff(a, b) -> float:
@@ -204,19 +191,8 @@ def run_trial(
     spec: TrialSpec,
     strict: bool = True,
     contracts: bool = True,
-    batched: bool = True,
 ) -> TrialResult:
-    """Serial vs Optimus vs Megatron (vs batched-mesh Optimus) on one
-    fuzzed configuration.
-
-    The ``batched`` arm re-runs Optimus with the batched-mesh engine
-    forced on and demands *bit-exact* agreement — numerics, per-rank
-    clocks, bytes, memory peaks — with a per-rank Optimus run.  Both A/B
-    runs happen outside the contract checker: the batched engine falls
-    back to the per-rank path whenever the collectives are patched, so
-    running it under the checker would silently compare per-rank against
-    per-rank.
-    """
+    """Serial vs Optimus vs Megatron on one fuzzed configuration."""
     from repro.check.contracts import CollectiveContractChecker
     from repro.nn.init import init_transformer_params
     from repro.reference.model import ReferenceTransformer
@@ -255,24 +231,10 @@ def run_trial(
         if checker is not None:
             checker.uninstall()
 
-    # --- batched-mesh A/B (outside the checker: see docstring) -------
-    batched_ab = None
-    if batched:
-        from repro.core import summa as _summa
-
-        def _optimus_arm(flag: bool):
-            with _summa.optimizations(batched=flag):
-                loss, grads, post, sim = _run_distributed(
-                    spec, cfg, ids, labels, "optimus", strict
-                )
-            return loss, grads, post, _sim_state(sim)
-
-        batched_ab = (_optimus_arm(False), _optimus_arm(True))
-
     # --- diff everything ---------------------------------------------
     rtol, atol = TOLERANCES[spec.dtype]
     result = TrialResult(spec=spec, passed=True)
-    for scheme, (loss, grads, post, _sim) in schemes.items():
+    for scheme, (loss, grads, post) in schemes.items():
         dl = abs(loss - ref_loss)
         result.max_loss_diff = max(result.max_loss_diff, dl)
         if not np.isclose(loss, ref_loss, rtol=rtol, atol=atol):
@@ -300,26 +262,6 @@ def run_trial(
                     f"{scheme}: post-step param {name} max diff {d:.3e}"
                 )
 
-    if batched_ab is not None:
-        (l0, g0, p0, s0), (l1, g1, p1, s1) = batched_ab
-        if l0 != l1:
-            result.failures.append(
-                f"batched: loss {l1!r} != per-rank {l0!r} (must be bit-exact)"
-            )
-        for label, ref_d, got_d in (("grad", g0, g1), ("post-step param", p0, p1)):
-            for name in ref_d:
-                if not np.array_equal(ref_d[name], got_d[name]):
-                    d = _diff(got_d[name], ref_d[name])
-                    result.failures.append(
-                        f"batched: {label} {name} not bit-exact "
-                        f"(max diff {d:.3e})"
-                    )
-        if s0 != s1:
-            bad = [r for r in s0 if s0[r] != s1[r]]
-            result.failures.append(
-                f"batched: per-rank accounting diverges on ranks {bad}: "
-                f"{s0[bad[0]]} != {s1[bad[0]]}"
-            )
     result.passed = not result.failures
     return result
 
@@ -332,18 +274,20 @@ def run_check(
     trials: int = 5,
     strict: bool = True,
     contracts: bool = True,
-    batched: bool = True,
     printer: Callable[[str], None] = print,
 ) -> bool:
     """Run ``trials`` fuzzed equivalence trials; True when all pass."""
+    if trials < 1:
+        raise ValueError(
+            f"--trials must be >= 1 (got {trials}): zero trials would fuzz "
+            "nothing and pass vacuously"
+        )
     rng = np.random.default_rng(seed)
     all_ok = True
     for t in range(trials):
         spec = draw_spec(rng, trial=seed * 10_000 + t)
         try:
-            result = run_trial(
-                spec, strict=strict, contracts=contracts, batched=batched
-            )
+            result = run_trial(spec, strict=strict, contracts=contracts)
         except Exception as exc:  # contract/invariant violations included
             all_ok = False
             printer(f"trial {t}: {spec.describe()}")
@@ -360,9 +304,7 @@ def run_check(
             printer(f"  {f}")
         all_ok = all_ok and result.passed
     printer(
-        "repro check: all trials passed (Optimus ≡ Megatron ≡ serial"
-        + (" ≡ batched" if batched else "")
-        + ")"
+        "repro check: all trials passed (Optimus ≡ Megatron ≡ serial)"
         if all_ok
         else "repro check: EQUIVALENCE FAILURES (see above)"
     )
@@ -374,8 +316,7 @@ def main(
     trials: int = 5,
     strict: bool = True,
     contracts: bool = True,
-    batched: bool = True,
 ) -> int:
     """CLI entry point for ``python -m repro check``."""
     return 0 if run_check(seed=seed, trials=trials, strict=strict,
-                          contracts=contracts, batched=batched) else 1
+                          contracts=contracts) else 1

@@ -101,19 +101,6 @@ def _charge(group: ProcessGroup, kind: str, dt: float, nbytes: float, weighted: 
         )
 
 
-def charge_only(group: ProcessGroup, kind: str, precost: Precost) -> None:
-    """Charge a collective's α–β accounting without moving any data.
-
-    The batched SUMMA engine computes a whole stage numerically as one
-    stacked product, but must still charge clocks, byte counters, weighted
-    volumes, and trace events in the exact per-rank order of the per-rank
-    path.  This is that replay hook: the charged quantities are identical
-    to what ``broadcast``/``reduce`` with the same ``precost`` would emit
-    (including the size-1 early return, which charges nothing).
-    """
-    _charge(group, kind, *precost)
-
-
 # ----------------------------------------------------------------------
 # collectives
 # ----------------------------------------------------------------------

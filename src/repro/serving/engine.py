@@ -13,9 +13,7 @@ Scheme-specific decode forwards reuse the training modules unchanged
 (``Embedding2D``/``Linear2D``/``LayerNorm2D``/``MLP2D`` and their 1-D
 twins) — SUMMA and the Megatron conjugate all-reduces accept any token
 count, so the decode path exercises the exact communication/compute
-accounting of training, including the ``REPRO_SUMMA_BATCHED`` batched-mesh
-engine, which stays bit-exact here (asserted by the serving A/B benchmark).
-Only attention is new: causal attention over the sharded KV cache
+accounting of training.  Only attention is new: causal attention over the sharded KV cache
 (:func:`repro.reference.attention.decode_attention_fwd`), fully local per
 rank in both schemes.  Every rank of a KV shard group holds the same lanes
 at the same lengths, so :meth:`ServingEngine._attention` — shared by both

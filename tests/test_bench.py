@@ -1,5 +1,5 @@
 """Bench subsystem: CLI, result schema, regression gate, and the hot-path
-optimizations it measures (plan cache, scratch pool, legacy A/B arm)."""
+optimizations it measures (plan cache, scratch pool)."""
 
 from __future__ import annotations
 
@@ -108,6 +108,18 @@ class TestBenchCLI:
         with pytest.raises(ValueError, match="no benchmark matches"):
             cli_main(["bench", "--only", "no/such/bench"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--repeats", "0"], "--repeats"),
+            (["--repeats", "-1"], "--repeats"),
+            (["--threshold", "-0.1"], "--threshold"),
+        ],
+    )
+    def test_bad_knob_names_the_flag(self, argv, flag):
+        with pytest.raises(ValueError, match=flag):
+            cli_main(["bench", "--only", "micro/collectives"] + argv)
+
 
 def _random_operands(mesh, m, k, n, seed=0):
     rng = np.random.default_rng(seed)
@@ -118,32 +130,31 @@ def _random_operands(mesh, m, k, n, seed=0):
 
 class TestPlanCache:
     def test_bit_exact_and_cost_identical_vs_uncached(self):
-        def run(enabled):
-            with summa.optimizations(plan_cache=enabled, pool=enabled):
-                mesh = make_mesh(2)
-                a, b = _random_operands(mesh, 8, 12, 6)
-                outs = []
-                for _ in range(3):  # repeated calls exercise cache hits
-                    c = summa.summa_ab(mesh, a, b)
-                    da, db = summa.grads_of_ab(mesh, a, b, c)
-                    outs.append((c, da, db))
-                sim = mesh.sim
-                stats = (
-                    sim.elapsed(),
-                    sim.total_flops(),
-                    sim.total_bytes_comm(),
-                    sim.max_weighted_comm_volume(),
-                )
-                return outs, stats
-
-        on, s_on = run(True)
-        off, s_off = run(False)
-        assert s_on == s_off
-        for ts_on, ts_off in zip(on, off):
-            for t1, t2 in zip(ts_on, ts_off):
-                full1 = assemble_blocked_2d(t1)
-                full2 = assemble_blocked_2d(t2)
-                assert np.array_equal(full1, full2)
+        # the first call on a fresh mesh builds its plans (the uncached
+        # arm); every later call is a cache hit and must match it bit for
+        # bit, with the same clock, flops, bytes and weighted volume
+        mesh = make_mesh(2)
+        sim = mesh.sim
+        a, b = _random_operands(mesh, 8, 12, 6)
+        calls = []
+        for _ in range(3):
+            sim.reset_time()  # per-call deltas, not running totals
+            c = summa.summa_ab(mesh, a, b)
+            da, db = summa.grads_of_ab(mesh, a, b, c)
+            stats = (
+                sim.elapsed(),
+                sim.total_flops(),
+                sim.total_bytes_comm(),
+                sim.max_weighted_comm_volume(),
+            )
+            calls.append(([assemble_blocked_2d(t) for t in (c, da, db)], stats))
+        assert summa.plan_cache_size(mesh) == 3  # ab, abt, atb: no rebuilds
+        assert summa._pool_of(sim).stats()["hits"] > 0
+        (cold, cold_stats), *warm = calls
+        for outs, stats in warm:
+            assert stats == cold_stats
+            for x, y in zip(cold, outs):
+                assert np.array_equal(x, y)
 
     def test_cache_populates_and_hits(self):
         mesh = make_mesh(2)
@@ -237,36 +248,6 @@ class TestInstrumentationFlag:
         assert sim.is_enabled
         sim.strict_invariants = False
         assert not sim.is_enabled
-
-
-class TestLegacyArm:
-    def test_pre_optimization_arm_is_numerically_identical(self):
-        from repro.bench.legacy import pre_optimization
-
-        def run():
-            mesh = make_mesh(2)
-            a, b = _random_operands(mesh, 8, 12, 6)
-            c = summa.summa_ab(mesh, a, b)
-            da, db = summa.grads_of_ab(mesh, a, b, c)
-            return [assemble_blocked_2d(t) for t in (c, da, db)]
-
-        current = run()
-        with pre_optimization():
-            legacy = run()
-        post = run()  # patches must be fully restored
-        for x, y, z in zip(current, legacy, post):
-            assert np.array_equal(x, y)
-            assert np.array_equal(x, z)
-
-    def test_pre_optimization_restores_shape_backend(self):
-        from repro.backend.shape_array import ShapeArray
-        from repro.bench.legacy import pre_optimization
-
-        x = ShapeArray((3, 4), "float32")
-        with pre_optimization():
-            assert ShapeArray((3, 4), "float32").nbytes == 48
-        assert x.nbytes == 48
-        assert (x @ ShapeArray((4, 5), "float32")).shape == (3, 5)
 
 
 class TestSaveResultPreservation:

@@ -1,6 +1,11 @@
 """The seeded shape-fuzzing equivalence runner."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
+import pytest
 
 from repro.check.fuzz import TOLERANCES, TrialSpec, draw_spec, run_check, run_trial
 
@@ -53,3 +58,21 @@ class TestTrials:
         lines = []
         assert run_check(seed=0, trials=1, printer=lines.append)
         assert any("all trials passed" in ln for ln in lines)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_nonpositive_trials_rejected(self, trials):
+        """Zero trials used to print "all trials passed" and exit 0."""
+        lines = []
+        with pytest.raises(ValueError, match="--trials must be >= 1"):
+            run_check(seed=0, trials=trials, printer=lines.append)
+        assert lines == []
+
+    def test_cli_trials_zero_exits_nonzero(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "check", "--trials", "0"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode != 0
+        assert "--trials must be >= 1" in proc.stderr
+        assert "all trials passed" not in proc.stdout

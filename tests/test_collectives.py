@@ -248,7 +248,7 @@ class TestFusedCharge:
                 sim.device(r).clock = c
         for ranks, kind, dt, nbytes, weighted in calls:
             fused, ref = (ProcessGroup(sim, ranks, kind="g") for sim in sims)
-            coll.charge_only(fused, kind, (dt, nbytes, weighted))
+            coll._charge(fused, kind, dt, nbytes, weighted)
             _reference_charge(ref, kind, dt, nbytes, weighted)
         for r in range(p):
             a, b = sims[0].device(r), sims[1].device(r)

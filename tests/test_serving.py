@@ -3,6 +3,7 @@ report determinism and the ledger/dash/CLI integration."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from repro.serving.kvcache import (
 from repro.serving.report import (
     compare_reports,
     percentile,
-    run_ab,
     run_serve,
 )
 from repro.serving.scheduler import ContinuousBatchingScheduler, ServingOptions
@@ -445,7 +445,7 @@ class TestDecodeEquivalence:
 
 
 # ----------------------------------------------------------------------
-# report: determinism, A/B, SLO gate
+# report: determinism, SLO gate
 # ----------------------------------------------------------------------
 class TestReport:
     def test_quick_report_is_byte_deterministic(self):
@@ -457,10 +457,6 @@ class TestReport:
         rep = run_serve(0, quick=True)
         by_scheme = {e["scheme"]: e for e in rep["schemes"]}
         assert by_scheme["optimus"]["tokens_sha256"] == by_scheme["megatron"]["tokens_sha256"]
-
-    def test_ab_bit_exact(self):
-        ab = run_ab(0, quick=True, requests=6)
-        assert ab["equal"] is True
 
     def test_slo_gate_passes_self_and_fails_regression(self):
         rep = run_serve(0, quick=True, requests=6)
@@ -568,15 +564,22 @@ class TestServeCLI:
         assert main(argv + [out1, "--compare", out2]) == 1
         capsys.readouterr()
 
-    def test_serve_ab_flag(self, tmp_path, capsys):
+    def test_default_serve_matches_committed_baseline(self, tmp_path):
+        """``repro serve --seed 0`` must reproduce the committed SLO baseline
+        byte for byte: token digests, latencies, phase attribution and the
+        frozen ``summa_flags`` echo."""
+        from repro.serving.report import write_report
+
+        out = tmp_path / "serve.json"
+        write_report(run_serve(0), str(out))
+        baseline = Path(__file__).resolve().parents[1] / "benchmarks" / "serving_baseline.json"
+        assert out.read_bytes() == baseline.read_bytes()
+
+    def test_negative_threshold_names_the_flag(self):
         from repro.cli import main
 
-        out = str(tmp_path / "ab.json")
-        rc = main(["serve", "--quick", "--seed", "0", "--requests", "4", "--ab", "--out", out])
-        assert rc == 0
-        with open(out) as f:
-            assert json.load(f)["equal"] is True
-        assert "byte-identical" in capsys.readouterr().out
+        with pytest.raises(ValueError, match="--threshold"):
+            main(["serve", "--quick", "--requests", "2", "--threshold", "-0.1"])
 
 
 # ----------------------------------------------------------------------

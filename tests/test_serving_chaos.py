@@ -1,18 +1,15 @@
 """Serving chaos campaigns: token-identical recovery, telescoping with the
-recovery phase, the batched-SUMMA fallback regression, the preemption A/B
-gate, and the friendly baseline/scheme error paths."""
+recovery phase, the preemption A/B gate, and the friendly baseline/scheme
+error paths."""
 
 import json
 
 import pytest
 
 from repro.config import tiny_config
-from repro.core import summa
 from repro.nn.init import init_transformer_params
 from repro.obs.ledger import RunLedger
-from repro.resilience.injector import FaultInjector
 from repro.serving.chaos import (
-    INJECTOR_KW,
     default_serving_schedule,
     run_serve_chaos,
 )
@@ -120,43 +117,6 @@ class TestServeChaos:
         assert rows[0]["token_identical"] is True
         html_text = render_html(records, scorecard(records), [])
         assert "<h2>Serving under chaos</h2>" in html_text
-
-
-class TestBatchedSummaFallback:
-    """Armed fault injectors must force SUMMA back to per-rank execution
-    (the batched engine cannot replay per-rank collective faults)."""
-
-    def test_armed_injector_disables_batched(self):
-        from repro.mesh import Mesh
-        from repro.runtime import Simulator
-
-        sim = Simulator.for_mesh(q=2)
-        Mesh(sim, 2)
-        schedule = default_serving_schedule(0, baseline_steps=20)
-        inj = FaultInjector(schedule, seed=0, **INJECTOR_KW)
-        inj.install(sim)
-        try:
-            assert not summa._batched_ready(sim)
-        finally:
-            inj.uninstall()
-        assert summa._batched_ready(sim)
-
-    def test_chaos_campaign_byte_equal_with_batched_flag(self, monkeypatch):
-        """REPRO_SUMMA_BATCHED must not change a chaos campaign by a byte:
-        the armed injector falls back to per-rank inside the chaos arm and
-        the baseline arm is bit-exact by the PR 8 A/B guarantee."""
-        saved = summa.effective_flags()
-        try:
-            monkeypatch.setenv("REPRO_SUMMA_BATCHED", "0")
-            summa.resolve_env_flags()
-            off = run_serve_chaos(0, quick=True, schemes=("optimus",))
-            monkeypatch.setenv("REPRO_SUMMA_BATCHED", "1")
-            summa.resolve_env_flags()
-            on = run_serve_chaos(0, quick=True, schemes=("optimus",))
-        finally:
-            summa.configure(**saved)
-        off["summa"] = on["summa"] = None  # flag echo differs by design
-        assert json.dumps(off, sort_keys=True) == json.dumps(on, sort_keys=True)
 
 
 class TestPreemptAB:
